@@ -23,11 +23,22 @@ Complete positivity is positivity of ``choi``; trace preservation is
 Covariance
 ----------
 A channel is covariant for Hamiltonians (H_in, H_out) when
-G([H_in, .]) = [H_out, G(.)].  In the eigenbases of the two Hamiltonians this
-says Choi entries vanish unless the output Bohr frequency matches the input
+G([H_in, .]) = [H_out, G(.)].  Since G(E_ij) is the (i, j) block of ``choi``,
+this reads in Choi form
+
+    [K, choi] = 0,    K = 1 (x) H_out - H_in^T (x) 1,
+
+with the input factor on the slow index as in the layout above; up to sign,
+the entries of [K, choi] are the entries of G([H_in, E_ij]) - [H_out, G(E_ij)]
+over all matrix units.  In the eigenbases of the two Hamiltonians K is diagonal, so
+Choi entries must vanish unless the output Bohr frequency matches the input
 one; the twirl enforces exactly that, which equals the Cesaro time average
 of  t -> e^{iH_out t} G(e^{-iH_in t} . e^{iH_in t}) e^{-iH_out t}  and is
 therefore CPTP whenever the input is.
+
+Both the covariance check and the twirl only ever multiply ``choi`` by
+Kronecker-structured operators A (x) B, which :func:`_kron_rows` applies
+factor by factor without building the (din*dout)^2 Kronecker matrix.
 """
 from __future__ import annotations
 
@@ -36,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .states import DensityMatrix, Hamiltonian
+from .states import DensityMatrix, Hamiltonian, _hermitize
 
-HERMITIAN_TOL = 1e-12
 DEFAULT_CPTP_TOL = 1e-9
 DEFAULT_COVARIANCE_TOL = 1e-9
 DEFAULT_FREQ_TOL = 1e-9
@@ -61,17 +71,9 @@ class QuantumChannel:
             raise DimensionMismatchError(
                 f"choi must be {n}x{n} for dims {dim_in}->{dim_out}, got {mat.shape}"
             )
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise ValidationError(
-                f"choi matrix is not Hermitian: max deviation {dev:.3e}",
-                detail={"deviation": float(dev)},
-            )
-        mat = (mat + mat.conj().T) / 2
-        mat.setflags(write=False)
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
-        self.choi = mat
+        self.choi = _hermitize(mat, "choi matrix")
 
     def __repr__(self):
         return f"QuantumChannel({self.dim_in}->{self.dim_out})"
@@ -116,33 +118,52 @@ class CovarianceReport:
     is_covariant: bool
 
 
+def _kron_rows(a: np.ndarray | None, b: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """Return (a (x) b) @ m for a Choi-shaped m, without forming a (x) b.
+
+    ``a`` acts on the slow (input) part of the row index and ``b`` on the fast
+    (output) part; ``None`` stands for the identity factor.  Square factors
+    only, so the result has the shape of ``m``.
+    """
+    din = m.shape[0] // b.shape[0] if a is None else a.shape[0]
+    out = m.reshape(din, -1, m.shape[1])
+    if b is not None:
+        out = np.matmul(b, out)
+    if a is not None:
+        out = (a @ out.reshape(din, -1)).reshape(out.shape)
+    return out.reshape(m.shape)
+
+
+def _kron_sandwich(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Return V @ m @ V† for V = a (x) b, taking the right product as X V† = (V X†)†."""
+    return _kron_rows(a, b, _kron_rows(a, b, m.conj().T).conj().T)
+
+
+def _check_hamiltonian_dims(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian):
+    if h_in.dim != channel.dim_in or h_out.dim != channel.dim_out:
+        raise DimensionMismatchError(
+            f"hamiltonian dims ({h_in.dim}, {h_out.dim}) do not match channel "
+            f"{channel.dim_in}->{channel.dim_out}"
+        )
+
+
 def is_covariant(
     channel: QuantumChannel,
     h_in: Hamiltonian,
     h_out: Hamiltonian,
     tol: float = DEFAULT_COVARIANCE_TOL,
 ) -> CovarianceReport:
-    """Evaluate G(i[H_in, E_ij]) - i[H_out, G(E_ij)] on all matrix units.
+    """Measure the Choi-form covariance condition [K, C] = 0, K = 1 (x) H_out - H_in^T (x) 1.
 
-    The residual is the largest max-abs entry over the basis; the channel is
-    reported covariant when it stays within ``tol``.
+    The residual is the max-abs entry of that commutator, which is the
+    largest max-abs entry of G(i[H_in, E_ij]) - i[H_out, G(E_ij)] over all
+    matrix units E_ij; the channel is reported covariant when it stays within
+    ``tol``.  With K and C Hermitian, C K = (K C)†, so one product suffices.
     """
-    if h_in.dim != channel.dim_in or h_out.dim != channel.dim_out:
-        raise DimensionMismatchError(
-            f"hamiltonian dims ({h_in.dim}, {h_out.dim}) do not match channel "
-            f"{channel.dim_in}->{channel.dim_out}"
-        )
-    hin = h_in.entries
-    hout = h_out.entries
-    residual = 0.0
-    for i in range(channel.dim_in):
-        for j in range(channel.dim_in):
-            unit = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-            unit[i, j] = 1.0
-            lhs = apply_to_matrix(channel, 1j * (hin @ unit - unit @ hin))
-            img = apply_to_matrix(channel, unit)
-            rhs = 1j * (hout @ img - img @ hout)
-            residual = max(residual, float(np.abs(lhs - rhs).max()))
+    _check_hamiltonian_dims(channel, h_in, h_out)
+    c = channel.choi
+    kc = _kron_rows(None, h_out.entries, c) - _kron_rows(h_in.entries.T, None, c)
+    residual = float(np.abs(kc - kc.conj().T).max())
     return CovarianceReport(residual=residual, is_covariant=residual <= tol)
 
 
@@ -177,18 +198,15 @@ def covariant_twirl(
     uses the conjugated eigenbasis because the channel acts on the input index
     through a transpose.
     """
-    if h_in.dim != channel.dim_in or h_out.dim != channel.dim_out:
-        raise DimensionMismatchError(
-            f"hamiltonian dims ({h_in.dim}, {h_out.dim}) do not match channel "
-            f"{channel.dim_in}->{channel.dim_out}"
-        )
-    w = np.kron(h_in.eigenvectors.conj(), h_out.eigenvectors)
-    c_eig = w.conj().T @ channel.choi @ w
+    _check_hamiltonian_dims(channel, h_in, h_out)
+    # W = conj(U_in) (x) U_out; c_eig = W† C W and the result is W (c_eig * mask) W†
+    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
+    c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
     # nu[i*dout + a] = E_out[a] - E_in[i]; mismatch of entry (r, c) is nu[r] - nu[c]
     nu = (h_out.eigenvalues[None, :] - h_in.eigenvalues[:, None]).reshape(-1)
     classes = _frequency_classes(nu, freq_tol)
     mask = classes[:, None] == classes[None, :]
-    twirled = w @ (c_eig * mask) @ w.conj().T
+    twirled = _kron_sandwich(u_in.conj(), u_out, c_eig * mask)
     return QuantumChannel(channel.dim_in, channel.dim_out, twirled)
 
 
@@ -293,10 +311,6 @@ def partial_trace(rho: DensityMatrix, dims, keep: int) -> DensityMatrix:
 def append_state(sigma: DensityMatrix, dim_in: int) -> QuantumChannel:
     """Channel rho -> rho (x) sigma from ``dim_in`` to ``dim_in * sigma.dim``."""
     dim_out = dim_in * sigma.dim
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            unit = np.zeros((dim_in, dim_in), dtype=complex)
-            unit[i, j] = 1.0
-            choi += np.kron(unit, np.kron(unit, sigma.entries))
+    omega = np.eye(dim_in, dtype=complex).reshape(-1)  # sum_i e_i (x) e_i
+    choi = np.kron(np.outer(omega, omega), sigma.entries)
     return QuantumChannel(dim_in, dim_out, choi)

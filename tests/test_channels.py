@@ -8,6 +8,7 @@ from qclock import (
     DomainError,
     Hamiltonian,
     QuantumChannel,
+    ValidationError,
     append_state,
     apply_channel,
     channel_from_kraus,
@@ -18,6 +19,7 @@ from qclock import (
     identity_channel,
     is_covariant,
     kraus_operators,
+    ladder_hamiltonian,
     partial_trace,
     random_channel,
     random_density,
@@ -172,6 +174,97 @@ def test_twirled_channel_commutes_with_time_evolution():
 
 
 # ---------------------------------------------------------------------------
+# covariance and twirl against dense per-definition references
+# ---------------------------------------------------------------------------
+
+
+def _reference_residual(channel, h_in, h_out):
+    """max over matrix units E_ij of |G(i[H_in, E_ij]) - i[H_out, G(E_ij)]|."""
+    din, dout = channel.dim_in, channel.dim_out
+    c4 = channel.choi.reshape(din, dout, din, dout)
+    hin, hout = h_in.entries, h_out.entries
+    residual = 0.0
+    for i in range(din):
+        for j in range(din):
+            unit = np.zeros((din, din), dtype=complex)
+            unit[i, j] = 1.0
+            lhs = np.einsum("iajb,ij->ab", c4, 1j * (hin @ unit - unit @ hin))
+            img = np.einsum("iajb,ij->ab", c4, unit)
+            rhs = 1j * (hout @ img - img @ hout)
+            residual = max(residual, float(np.abs(lhs - rhs).max()))
+    return residual
+
+
+def _reference_twirl(channel, h_in, h_out, freq_tol=1e-9):
+    """Dense Kronecker formula; pairwise masking equals class masking on these spectra."""
+    w = np.kron(h_in.eigenvectors.conj(), h_out.eigenvectors)
+    c_eig = w.conj().T @ channel.choi @ w
+    nu = (h_out.eigenvalues[None, :] - h_in.eigenvalues[:, None]).reshape(-1)
+    mask = np.abs(nu[:, None] - nu[None, :]) <= freq_tol
+    return w @ (c_eig * mask) @ w.conj().T
+
+
+@pytest.mark.parametrize("din,dout", [(3, 5), (4, 6), (5, 3)])
+def test_covariance_residual_matches_per_unit_definition(din, dout):
+    for seed in range(3):
+        channel = random_channel(din, dout, 2, seed=seed)
+        h_in = random_hamiltonian(din, seed=100 + seed)
+        h_out = random_hamiltonian(dout, seed=200 + seed, scale=1.7)
+        expected = _reference_residual(channel, h_in, h_out)
+        report = is_covariant(channel, h_in, h_out)
+        assert expected > 1e-3
+        assert abs(report.residual - expected) <= 1e-12
+        assert not report.is_covariant
+
+
+def test_covariance_residual_matches_per_unit_definition_on_twirled_channels():
+    h_in = ladder_hamiltonian(3, 1.0)
+    h_out = ladder_hamiltonian(5, 1.0)
+    channel = covariant_twirl(random_channel(3, 5, 2, seed=7), h_in, h_out)
+    report = is_covariant(channel, h_in, h_out)
+    assert abs(report.residual - _reference_residual(channel, h_in, h_out)) <= 1e-12
+    assert report.is_covariant
+
+
+@pytest.mark.parametrize(
+    "h_in,h_out",
+    [
+        (ladder_hamiltonian(3, 1.0), ladder_hamiltonian(5, 1.0)),
+        (ladder_hamiltonian(4, 0.5), ladder_hamiltonian(6, 0.5)),
+        (random_hamiltonian(4, seed=31), random_hamiltonian(6, seed=32)),
+    ],
+    ids=["ladder-3-5", "ladder-4-6", "random-4-6"],
+)
+def test_twirl_matches_dense_kronecker_formula(h_in, h_out):
+    channel = random_channel(h_in.dim, h_out.dim, 2, seed=h_in.dim)
+    twirled = covariant_twirl(channel, h_in, h_out)
+    expected = _reference_twirl(channel, h_in, h_out)
+    assert np.abs(twirled.choi - expected).max() <= 1e-12
+    assert validate_cptp(twirled, tol=1e-10).ok
+    again = covariant_twirl(twirled, h_in, h_out)
+    assert np.abs(again.choi - twirled.choi).max() <= 1e-12
+
+
+def test_covariance_and_twirl_check_hamiltonian_dimensions():
+    channel = random_channel(3, 5, 2, seed=1)
+    h3, h5 = ladder_hamiltonian(3, 1.0), ladder_hamiltonian(5, 1.0)
+    for h_in, h_out in [(h5, h3), (h3, h3), (h5, h5)]:
+        with pytest.raises(DimensionMismatchError):
+            is_covariant(channel, h_in, h_out)
+        with pytest.raises(DimensionMismatchError):
+            covariant_twirl(channel, h_in, h_out)
+
+
+def test_channel_rejects_non_hermitian_choi():
+    choi = identity_channel(2).choi.copy()
+    choi[0, 1] += 1e-6
+    with pytest.raises(ValidationError) as info:
+        QuantumChannel(2, 2, choi)
+    assert info.value.code == "invalid-matrix"
+    assert info.value.detail["deviation"] == pytest.approx(1e-6)
+
+
+# ---------------------------------------------------------------------------
 # composition: tensor, partial trace, append
 # ---------------------------------------------------------------------------
 
@@ -212,6 +305,18 @@ def test_append_state_acts_as_tensoring():
     out = apply_channel(channel, rho)
     assert np.abs(out.entries - np.kron(rho.entries, sigma.entries)).max() <= 1e-12
     assert validate_cptp(channel).ok
+
+
+def test_append_state_matches_matrix_unit_definition():
+    sigma = random_density(3, 2, seed=26)
+    dim_in = 2
+    expected = np.zeros((dim_in * dim_in * 3,) * 2, dtype=complex)
+    for i in range(dim_in):
+        for j in range(dim_in):
+            unit = np.zeros((dim_in, dim_in), dtype=complex)
+            unit[i, j] = 1.0
+            expected += np.kron(unit, np.kron(unit, sigma.entries))
+    assert np.array_equal(append_state(sigma, dim_in).choi, expected)
 
 
 def test_append_stationary_state_is_covariant():

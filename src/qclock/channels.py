@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .states import DensityMatrix, Hamiltonian, _hermitize
+from .states import DensityMatrix, Hamiltonian, _hermitize, _split_at_gaps
 
 DEFAULT_CPTP_TOL = 1e-9
 DEFAULT_COVARIANCE_TOL = 1e-9
@@ -175,12 +175,9 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
     preserves positivity.
     """
     order = np.argsort(nu, kind="stable")
-    classes = np.zeros(nu.size, dtype=int)
-    current = 0
-    for k in range(1, nu.size):
-        if nu[order[k]] - nu[order[k - 1]] > freq_tol:
-            current += 1
-        classes[order[k]] = current
+    classes = np.empty(nu.size, dtype=int)
+    for label, group in enumerate(_split_at_gaps(nu[order], freq_tol)):
+        classes[order[group]] = label
     return classes
 
 

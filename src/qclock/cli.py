@@ -224,9 +224,7 @@ def _cmd_decompose(args) -> dict:
         "witness_projector": None,
     }
     if report.distinguishable:
-        basis = report.subspaces[report.witness_index]
-        proj = basis @ basis.conj().T
-        doc["witness_projector"] = fileio.matrix_to_json((proj + proj.conj().T) / 2)
+        doc["witness_projector"] = fileio.matrix_to_json(report.witness_projector())
     return doc
 
 

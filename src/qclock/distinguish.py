@@ -6,6 +6,23 @@ under both states, some subspace carries different trace weight under the two
 states.  The witness observable is the projector onto such a subspace: it
 commutes with both states and has distinct expectation values.
 
+The subspaces come from the joint commutant, the Hermitian X with
+[X, rho1] = [X, rho2] = 0.  Such an X is block-diagonal in the eigenbasis of
+either state, over that state's eigenvalue groups, so the commutant is solved
+in one state's eigenbasis with only the sum of m_k^2 in-block unknowns (m_k
+the group sizes; d for a generic state).  The state whose grouping gives
+fewer unknowns is used, so a maximally mixed partner adds none.  Groups are
+split only at gaps wide enough for eigh to resolve the blocks well below the
+null-space cutoff (:func:`_eigenbasis_blocks`); closer eigenvalues share a
+group, which only adds unknowns.  With
+``scale = hypot(spread(rho1), spread(rho2))``, spread being the largest minus
+the smallest eigenvalue, the null space of the commutator map keeps singular
+values up to ``NULLSPACE_RTOL * scale``.  ``scale`` bounds the largest
+singular value of the stacked map X -> ([X, rho1], [X, rho2]) from above and
+is within a factor sqrt(2) of it.  When both spectra are flat (spread at most
+``FLAT_RTOL * max(1, largest |eigenvalue|)``) every Hermitian matrix commutes
+with both states and the whole Hermitian space is returned, without a solve.
+
 For a continuously evolving clock the relevant subspaces are the spectral
 blocks of the Hamiltonian, and the block weights are conserved in time; that
 conservation is what forbids reading a clock without disturbing it, and
@@ -18,81 +35,117 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NumericalDegeneracyError
-from .states import ClockSystem, DensityMatrix, evolve
+from .states import ClockSystem, DensityMatrix, _split_at_gaps, evolve
 
 INVARIANCE_TOL = 1e-9
 NULLSPACE_RTOL = 1e-10
 GROUP_GAP_FACTOR = 1e-7
+FLAT_RTOL = 1e-12
+EIGENBASIS_MARGIN = 20.0
 MAX_REDRAWS = 5
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal basis of the real vector space of Hermitian dim x dim matrices."""
-    basis = []
-    for k in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[k, k] = 1.0
-        basis.append(m)
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[k, l] = m[l, k] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[k, l] = -1j / np.sqrt(2.0)
-            m[l, k] = 1j / np.sqrt(2.0)
-            basis.append(m)
-    return basis
+def _is_flat(w: np.ndarray) -> bool:
+    """True when an ascending spectrum is constant up to float noise."""
+    return float(w[-1] - w[0]) <= FLAT_RTOL * max(1.0, float(np.abs(w).max()))
+
+
+def _block_hermitian_basis(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal Hermitian matrix units (n, d, d) supported inside the diagonal blocks.
+
+    ``groups`` partitions range(d) into consecutive index blocks; n is the sum of
+    the squared block sizes.  A single group gives a basis of all Hermitian d x d
+    matrices.  Also returns the index pair (k, l) each unit is supported on,
+    k == l for the diagonal units.
+    """
+    dim = sum(g.size for g in groups)
+    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    k, l = np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
+    n_off = k.size
+    units = np.zeros((dim + 2 * n_off, dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    units[diag, diag, diag] = 1.0
+    sym = dim + np.arange(n_off)
+    units[sym, k, l] = units[sym, l, k] = 1.0 / np.sqrt(2.0)
+    asym = sym + n_off
+    units[asym, k, l] = -1j / np.sqrt(2.0)
+    units[asym, l, k] = 1j / np.sqrt(2.0)
+    return units, np.concatenate([diag, k, k]), np.concatenate([diag, l, l])
+
+
+def _eigenbasis_blocks(w: np.ndarray) -> list[np.ndarray]:
+    """Groups of a state's ascending eigenvalues inside which the commutant is solved.
+
+    eigh resolves the eigenvectors of groups a gap g apart only to about
+    d * eps * |rho| / g.  A commutant element leaks that far out of the kept
+    blocks, which costs up to twice that times the partner's spread in the
+    stacked map; groups closer than EIGENBASIS_MARGIN times the gap at which
+    this reaches the null-space cutoff are merged.  Merging more only adds
+    unknowns.
+    """
+    noise = w.size * np.finfo(float).eps * float(np.abs(w).max())
+    return _split_at_gaps(w, EIGENBASIS_MARGIN * noise / NULLSPACE_RTOL)
 
 
 def _commutant_basis(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
-    """Coefficient basis (rows) of Hermitian X with [X, rho1] = [X, rho2] = 0.
+    """Basis (k, d, d) of the Hermitian X with [X, rho1] = [X, rho2] = 0.
 
-    Solved as the null space of the stacked real-linear maps X -> [X, rho],
-    with singular values below NULLSPACE_RTOL times the largest defining the
-    null space.
+    Solved in the eigenbasis of the state with the fewer in-block unknowns as
+    the null space of the stacked real-linear maps X -> [X, rho] restricted to
+    that state's eigenvalue blocks; the module docstring gives the cutoffs.
     """
-    dim = rho1.shape[0]
-    basis = _hermitian_basis(dim)
-    columns = []
-    for b in basis:
-        c1 = b @ rho1 - rho1 @ b
-        c2 = b @ rho2 - rho2 @ b
-        columns.append(
-            np.concatenate([c1.real.ravel(), c1.imag.ravel(), c2.real.ravel(), c2.imag.ravel()])
-        )
-    stacked = np.array(columns).T  # (4 dim^2) x (dim^2)
-    _, s, vt = np.linalg.svd(stacked)
-    cutoff = NULLSPACE_RTOL * (s[0] if s.size else 0.0)
-    null_rows = vt[s <= cutoff] if s.size else vt
-    return null_rows
+    spectra = [np.linalg.eigh(rho) for rho in (rho1, rho2)]
+    if all(_is_flat(w) for w, _ in spectra):
+        return _block_hermitian_basis([np.arange(rho1.shape[0])])[0]
+    scale = float(np.hypot(*(w[-1] - w[0] for w, _ in spectra)))
+    groupings = [_eigenbasis_blocks(w) for w, _ in spectra]
+    unknowns = [sum(g.size ** 2 for g in groups) for groups in groupings]
+    side = int(unknowns[1] < unknowns[0])
+    w, v = spectra[side]
+    other = v.conj().T @ (rho2, rho1)[side] @ v
+    units, k, l = _block_hermitian_basis(groupings[side])
+    cross = (units @ other - other @ units).reshape(len(units), -1)
+    # X -> [X, diag(w)] maps the units to mutually orthogonal matrices of norm
+    # |w_k - w_l|: an n x n diagonal has the same Gram matrix as their 2 d^2 real rows
+    own = np.diag(np.abs(w[k] - w[l]))
+    stacked = np.concatenate([own, cross.real.T, cross.imag.T])  # (n + 2 d^2) x n
+    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    null_rows = vt[s <= NULLSPACE_RTOL * scale]
+    return v @ np.tensordot(null_rows, units, axes=1) @ v.conj().T
 
 
 def _group_eigenvalues(w: np.ndarray) -> list[np.ndarray]:
     """Split ascending eigenvalues into groups separated by a spectral-gap threshold."""
-    spread = float(w[-1] - w[0])
-    if spread <= 1e-12 * max(1.0, float(np.abs(w).max())):
+    if _is_flat(w):
         return [np.arange(w.size)]
-    gap = GROUP_GAP_FACTOR * spread
-    groups = []
-    start = 0
-    for k in range(1, w.size):
-        if w[k] - w[k - 1] > gap:
-            groups.append(np.arange(start, k))
-            start = k
-    groups.append(np.arange(start, w.size))
-    return groups
+    return _split_at_gaps(w, GROUP_GAP_FACTOR * float(w[-1] - w[0]))
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Finest common invariant subspaces with the block weights of both states."""
+    """Finest common invariant subspaces with the block weights of both states.
+
+    ``commutant_dim`` is the real dimension of the joint commutant the
+    subspaces were drawn from, and ``invariance_residual`` the largest
+    max-abs entry of (1 - P) rho P over the subspaces and both states, which
+    certified the decomposition against ``INVARIANCE_TOL``.
+    """
 
     subspaces: list[np.ndarray]
     traces_a: np.ndarray
     traces_b: np.ndarray
     distinguishable: bool
     witness_index: int | None
+    commutant_dim: int
+    invariance_residual: float
+
+    def witness_projector(self) -> np.ndarray | None:
+        """Hermitian projector onto the witness subspace, or None when not distinguishable."""
+        if self.witness_index is None:
+            return None
+        basis_cols = self.subspaces[self.witness_index]
+        proj = basis_cols @ basis_cols.conj().T
+        return (proj + proj.conj().T) / 2
 
 
 def common_invariant_decomposition(
@@ -105,7 +158,11 @@ def common_invariant_decomposition(
 
     A seeded random Hermitian element of the joint commutant is drawn and its
     eigenspaces (grouped across near-degenerate eigenvalues) give the
-    subspaces.  Each candidate decomposition is certified by checking
+    subspaces.  The commutant is solved in the eigenbasis of one state, over
+    the sum of m_k^2 unknowns inside its eigenvalue groups, with the cutoff
+    ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``; when both states are
+    proportional to the identity every Hermitian matrix is in it (see the
+    module docstring).  Each candidate decomposition is certified by checking
     invariance of every subspace under both states; uncertified draws are
     retried up to MAX_REDRAWS times before giving up.
     """
@@ -113,15 +170,13 @@ def common_invariant_decomposition(
         raise DimensionMismatchError(f"state dims differ: {rho1.dim} vs {rho2.dim}")
     dim = rho1.dim
     a, b = rho1.entries, rho2.entries
-    null_rows = _commutant_basis(a, b)
-    basis = _hermitian_basis(dim)
+    commutant = _commutant_basis(a, b)
     rng = np.random.default_rng(seed)
     eye = np.eye(dim)
 
     worst = None
     for _ in range(1 + MAX_REDRAWS):
-        coeffs = rng.standard_normal(null_rows.shape[0]) @ null_rows
-        x = sum(c * m for c, m in zip(coeffs, basis))
+        x = np.tensordot(rng.standard_normal(commutant.shape[0]), commutant, axes=1)
         w, v = np.linalg.eigh(x)
         groups = _group_eigenvalues(w)
         subspaces = [np.ascontiguousarray(v[:, g]) for g in groups]
@@ -143,10 +198,12 @@ def common_invariant_decomposition(
                 traces_b=traces_b,
                 distinguishable=distinguishable,
                 witness_index=witness,
+                commutant_dim=int(commutant.shape[0]),
+                invariance_residual=residual,
             )
     raise NumericalDegeneracyError(
         "could not certify an invariant decomposition after retries",
-        detail={"best_residual": worst, "commutant_dim": int(null_rows.shape[0])},
+        detail={"best_residual": worst, "commutant_dim": int(commutant.shape[0])},
     )
 
 
@@ -162,11 +219,7 @@ def nondisturbing_distinguishable(
     neither) yet has expectation values differing by more than ``tol``.
     """
     report = common_invariant_decomposition(rho1, rho2, tol=tol, seed=seed)
-    if not report.distinguishable:
-        return False, None
-    basis_cols = report.subspaces[report.witness_index]
-    proj = basis_cols @ basis_cols.conj().T
-    return True, (proj + proj.conj().T) / 2
+    return report.distinguishable, report.witness_projector()
 
 
 @dataclass(frozen=True)
@@ -185,21 +238,16 @@ def conserved_block_traces(
 
     Blocks are eigenvalue groups of the Hamiltonian (grouped within ``tol``);
     the deviation is the largest spread of any block weight over the supplied
-    times.  Constancy of these weights is exactly why continuous readout of a
-    clock is impossible without disturbance.
+    times, and the weights count as conserved when it is at most ``tol``.
+    Constancy of these weights is exactly why continuous readout of a clock
+    is impossible without disturbance.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise DomainError("need at least one time")
     w = clock.hamiltonian.eigenvalues
     v = clock.hamiltonian.eigenvectors
-    groups = []
-    start = 0
-    for k in range(1, w.size):
-        if w[k] - w[k - 1] > tol:
-            groups.append(np.arange(start, k))
-            start = k
-    groups.append(np.arange(start, w.size))
+    groups = _split_at_gaps(w, tol)
 
     rows = []
     for t in times:
@@ -209,7 +257,7 @@ def conserved_block_traces(
         )
     block_traces = np.array(rows)
     max_dev = float((block_traces.max(axis=0) - block_traces.min(axis=0)).max())
-    return BlockTraceReport(block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= 1e-9)
+    return BlockTraceReport(block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= tol)
 
 
 def pairwise_commuting(states, tol: float = 1e-10) -> bool:

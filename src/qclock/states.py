@@ -39,6 +39,13 @@ def _hermitize(entries, what: str) -> np.ndarray:
     return out
 
 
+def _split_at_gaps(sorted_values: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Index groups of ascending values, split wherever consecutive values differ by more than gap."""
+    cuts = (np.flatnonzero(np.diff(sorted_values) > gap) + 1).tolist()
+    bounds = [0, *cuts, len(sorted_values)]
+    return [np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix: a clock's statistical state."""
 

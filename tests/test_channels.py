@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qclock import channels
 from qclock import (
     ClockSystem,
     DensityMatrix,
@@ -390,3 +391,27 @@ def test_tensor_of_covariant_channels_is_covariant_for_the_sum():
     h_total = total_hamiltonian(h_a, h_b)
     report = is_covariant(tensor(ch_a, ch_b), h_total, h_total)
     assert report.residual <= 1e-9
+
+
+def loop_frequency_classes(nu, freq_tol):
+    """Reference: walk the sorted values, opening a class at every gap above freq_tol."""
+    order = np.argsort(nu, kind="stable")
+    classes = np.zeros(nu.size, dtype=int)
+    current = 0
+    for k in range(1, nu.size):
+        if nu[order[k]] - nu[order[k - 1]] > freq_tol:
+            current += 1
+        classes[order[k]] = current
+    return classes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frequency_classes_match_loop_definition(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    # integer lattice with repeats, jitter straddling tol, and exact-tol steps
+    nu = rng.integers(-3, 4, size=40).astype(float)
+    nu[:10] += rng.choice([0.0, 0.5 * tol, 2 * tol], size=10)
+    nu[10:12] = [7.0, 7.0 + tol]
+    nu = rng.permutation(nu)
+    assert np.array_equal(channels._frequency_classes(nu, tol), loop_frequency_classes(nu, tol))

@@ -9,6 +9,7 @@ import pytest
 
 from qclock import cli, fileio
 from qclock import (
+    common_invariant_decomposition,
     equal_superposition_clock,
     ladder_hamiltonian,
     random_channel,
@@ -141,6 +142,32 @@ def test_decompose_subcommand_diagonal_pair(tmp_path):
     assert np.abs(proj @ proj - proj).max() <= 1e-10
     _, out2 = run_cli(["decompose", "--state-a", a, "--state-b", b, "--seed", "5"])
     assert out1 == out2
+
+
+def test_decompose_document_matches_library_report(tmp_path):
+    # a 2-dim block plus a line, in a random real basis
+    u = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+    rho_a = u @ np.array([[0.3, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.4]]) @ u.T
+    rho_b = u @ np.array([[0.5, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.1]]) @ u.T
+    a = write_json(tmp_path / "a.json", fileio.matrix_to_json(rho_a))
+    b = write_json(tmp_path / "b.json", fileio.matrix_to_json(rho_b))
+    code, out = run_cli(["decompose", "--state-a", a, "--state-b", b, "--seed", "9"])
+    assert code == 0
+    report = common_invariant_decomposition(
+        *(fileio.density_from_json(json.loads((tmp_path / f).read_text())) for f in ("a.json", "b.json")),
+        seed=9,
+    )
+    cols = report.subspaces[report.witness_index]
+    proj = cols @ cols.conj().T
+    expected = {
+        "subspaces": [fileio.matrix_to_json(s) for s in report.subspaces],
+        "traces_a": list(report.traces_a),
+        "traces_b": list(report.traces_b),
+        "distinguishable": True,
+        "witness_index": report.witness_index,
+        "witness_projector": fileio.matrix_to_json((proj + proj.conj().T) / 2),
+    }
+    assert json.loads(out) == json.loads(json.dumps(fileio.json_safe(expected)))
 
 
 def test_broadcastable_subcommand(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from qclock import distinguish
 from qclock import (
     ClockSystem,
     DensityMatrix,
     DimensionMismatchError,
     DomainError,
+    Hamiltonian,
     common_invariant_decomposition,
     conserved_block_traces,
     equal_superposition_clock,
@@ -158,6 +160,56 @@ def test_block_traces_eigenstate_concentrated():
     assert sorted(weights)[:-1] == pytest.approx([0.0, 0.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-20])
+def test_block_trace_verdict_uses_tol(tol):
+    rng = np.random.default_rng(16)
+    clock = ClockSystem(random_density(4, 4, rng), random_hamiltonian(4, rng))
+    report = conserved_block_traces(clock, [0.0, 0.3, 1.7], tol=tol)
+    assert report.conserved == (report.max_deviation <= tol)
+    if tol == 1e-20:
+        # below the float noise of the evolution: the verdict must say so
+        assert report.max_deviation > tol
+        assert not report.conserved
+
+
+def test_block_traces_match_loop_grouping():
+    # integer levels with multiplicities, nudged within and beyond tol
+    levels = np.array([0.0, 0.0, 1.0, 1.0 + 5e-10, 1.0 + 3e-9, 2.0])
+    u = np.linalg.qr(np.random.default_rng(17).standard_normal((6, 6)))[0]
+    h = Hamiltonian(u @ np.diag(levels) @ u.T)
+    clock = ClockSystem(random_density(6, 6, seed=17), h)
+    times = [0.0, 0.4, 2.5]
+    report = conserved_block_traces(clock, times)
+    w, v = h.eigenvalues, h.eigenvectors
+    groups, start = [], 0
+    for k in range(1, w.size):
+        if w[k] - w[k - 1] > 1e-9:
+            groups.append(np.arange(start, k))
+            start = k
+    groups.append(np.arange(start, w.size))
+    assert [g.size for g in groups] == [2, 2, 1, 1]
+    expected = [
+        [np.trace(v[:, g].conj().T @ evolve(clock, t).entries @ v[:, g]).real for g in groups]
+        for t in times
+    ]
+    assert np.array_equal(report.block_traces, np.array(expected))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenvalue_groups_match_loop_definition(seed):
+    rng = np.random.default_rng(seed)
+    w = np.sort(np.concatenate([
+        rng.integers(0, 4, size=8) + rng.choice([0.0, 1e-9, 1e-6], size=8),
+        [5.0, 5.0 * (1 + 1e-7), 5.0 * (1 + 3e-7)],
+    ]))
+    groups = distinguish._group_eigenvalues(w)
+    reference = loop_eigenvalue_groups(w)
+    assert len(groups) == len(reference)
+    assert all(np.array_equal(g, r) for g, r in zip(groups, reference))
+    flat = np.full(5, 0.2) + 1e-14 * rng.standard_normal(5)
+    assert [g.tolist() for g in distinguish._group_eigenvalues(np.sort(flat))] == [list(range(5))]
+
+
 def test_block_traces_requires_times():
     clock = equal_superposition_clock(2, 1.0)
     with pytest.raises(DomainError):
@@ -237,3 +289,244 @@ def test_noncommuting_block_stays_one_subspace():
     assert flag
     for rho in (rho1, rho2):
         assert np.abs(proj @ rho.entries - rho.entries @ proj).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# joint commutant in one state's eigenbasis, against the full-space solve
+# ---------------------------------------------------------------------------
+
+
+def full_space_commutant(a, b):
+    """Reference: null space of X -> ([X, a], [X, b]) over all Hermitian X (full SVD)."""
+    dim = a.shape[0]
+    basis = []
+    for k in range(dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[k, k] = 1.0
+        basis.append(m)
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[k, l] = m[l, k] = 1.0 / np.sqrt(2.0)
+            basis.append(m)
+            m = np.zeros((dim, dim), dtype=complex)
+            m[k, l] = -1j / np.sqrt(2.0)
+            m[l, k] = 1j / np.sqrt(2.0)
+            basis.append(m)
+    columns = []
+    for m in basis:
+        c1 = m @ a - a @ m
+        c2 = m @ b - b @ m
+        columns.append(
+            np.concatenate([c1.real.ravel(), c1.imag.ravel(), c2.real.ravel(), c2.imag.ravel()])
+        )
+    _, s, vt = np.linalg.svd(np.array(columns).T)
+    null_rows = vt[s <= distinguish.NULLSPACE_RTOL * s[0]]
+    return np.tensordot(null_rows, np.array(basis), axes=1)
+
+
+def loop_eigenvalue_groups(w):
+    """Reference grouping of ascending eigenvalues: flat spectra stay whole, else split at gaps."""
+    spread = float(w[-1] - w[0])
+    if spread <= 1e-12 * max(1.0, float(np.abs(w).max())):
+        return [np.arange(w.size)]
+    groups, start = [], 0
+    for k in range(1, w.size):
+        if w[k] - w[k - 1] > distinguish.GROUP_GAP_FACTOR * spread:
+            groups.append(np.arange(start, k))
+            start = k
+    groups.append(np.arange(start, w.size))
+    return groups
+
+
+def full_space_decomposition(a, b, seed):
+    """Reference decomposition: eigenspaces of one seeded draw from the full-space commutant."""
+    mats = full_space_commutant(a, b)
+    x = np.tensordot(np.random.default_rng(seed).standard_normal(len(mats)), mats, axes=1)
+    w, v = np.linalg.eigh(x)
+    groups = loop_eigenvalue_groups(w)
+    subspaces = [v[:, g] for g in groups]
+    traces_a = np.array([np.trace(s.conj().T @ a @ s).real for s in subspaces])
+    traces_b = np.array([np.trace(s.conj().T @ b @ s).real for s in subspaces])
+    return len(mats), subspaces, traces_a, traces_b
+
+
+def assert_matches_full_space(rho1, rho2, seed, unique=False):
+    a, b = rho1.entries, rho2.entries
+    ref_dim, ref_subspaces, ref_a, ref_b = full_space_decomposition(a, b, seed)
+    report = common_invariant_decomposition(rho1, rho2, seed=seed)
+    assert report.commutant_dim == ref_dim
+    assert len(report.subspaces) == len(ref_subspaces)
+    assert np.sort(report.traces_a) == pytest.approx(np.sort(ref_a), abs=1e-9)
+    assert np.sort(report.traces_b) == pytest.approx(np.sort(ref_b), abs=1e-9)
+    assert report.distinguishable == bool(np.abs(ref_a - ref_b).max() > 1e-9)
+    assert report.invariance_residual <= distinguish.INVARIANCE_TOL
+    if unique:
+        # the finest decomposition is unique: same subspaces, in any order
+        projectors = [s @ s.conj().T for s in report.subspaces]
+        for s in ref_subspaces:
+            p = s @ s.conj().T
+            assert min(np.abs(p - q).max() for q in projectors) <= 1e-8
+    return report
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(u, m):
+    return DensityMatrix(u @ m @ u.conj().T)
+
+
+def block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for blk in blocks:
+        m[start:start + len(blk), start:start + len(blk)] = blk
+        start += len(blk)
+    return m
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("differ", [False, True])
+def test_planted_blocks_match_full_space(d, differ):
+    rng = np.random.default_rng([d, differ])
+    sizes = [2, d - 2] if d < 6 else [2, 3, d - 5]
+    weights = rng.dirichlet(np.ones(len(sizes)))
+    blocks_a = [w * random_density(n, n, rng).entries for w, n in zip(weights, sizes)]
+    weights_b = np.roll(weights, 1) if differ else weights
+    blocks_b = [w * random_density(n, n, rng).entries for w, n in zip(weights_b, sizes)]
+    u = random_unitary(rng, d)
+    report = assert_matches_full_space(
+        rotated(u, block_diag(*blocks_a)), rotated(u, block_diag(*blocks_b)), seed=d, unique=True
+    )
+    assert len(report.subspaces) == len(sizes)
+    assert report.commutant_dim == len(sizes)
+    assert report.distinguishable == differ
+
+
+def test_maximally_mixed_partner_uses_the_other_eigenbasis(monkeypatch):
+    d = 6
+    rng = np.random.default_rng(21)
+    rho1 = rotated(random_unitary(rng, d), np.eye(d) / d)
+    rho2 = random_density(d, d, rng)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(distinguish.np.linalg, "svd", recording_svd)
+    distinguish._commutant_basis(rho1.entries, rho2.entries)
+    # d unknowns from the generic spectrum of rho2, not d^2 from the flat rho1
+    assert [shape[1] for shape in shapes] == [d]
+    monkeypatch.undo()
+    report = assert_matches_full_space(rho1, rho2, seed=21, unique=True)
+    assert report.commutant_dim == d
+
+
+@pytest.mark.parametrize("across", [False, True])
+def test_degenerate_block_mixed_by_partner(across):
+    # rho1 is exactly degenerate on its first three eigenvectors.  rho2 mixes that
+    # block generically inside itself (three lines) and the two remaining
+    # eigenvectors of rho1 with each other (one plane), or mixes everything
+    rng = np.random.default_rng(22)
+    p = np.diag([0.25, 0.25, 0.25, 0.15, 0.1])
+    mixer = random_density(5, 5, rng).entries if across else block_diag(
+        0.6 * random_density(3, 3, rng).entries, 0.4 * random_density(2, 2, rng).entries
+    )
+    u = random_unitary(rng, 5)
+    report = assert_matches_full_space(rotated(u, p), rotated(u, mixer), seed=22, unique=True)
+    assert report.commutant_dim == (1 if across else 4)
+
+
+def test_commuting_pair_with_shared_degeneracies():
+    rng = np.random.default_rng(23)
+    u = random_unitary(rng, 6)
+    rho1 = rotated(u, np.diag([0.2, 0.2, 0.15, 0.15, 0.15, 0.15]))
+    rho2 = rotated(u, np.diag([0.1, 0.1, 0.3, 0.3, 0.1, 0.1]))
+    report = assert_matches_full_space(rho1, rho2, seed=23)
+    # joint blocks of sizes 2, 2, 2 carry full 2x2 matrix algebras
+    assert report.commutant_dim == 12
+    assert len(report.subspaces) == 6
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_identical_states_match_full_space(degenerate):
+    rng = np.random.default_rng(24)
+    rho = (
+        rotated(random_unitary(rng, 5), np.diag([0.3, 0.3, 0.2, 0.1, 0.1]))
+        if degenerate
+        else random_density(5, 5, rng)
+    )
+    report = assert_matches_full_space(rho, rho, seed=24)
+    assert report.commutant_dim == (9 if degenerate else 5)
+    assert not report.distinguishable
+
+
+def eigenbasis_gap(w):
+    """Gap below which a state's eigenvalues are solved as one group (see _eigenbasis_blocks)."""
+    noise = len(w) * np.finfo(float).eps * np.abs(w).max()
+    return distinguish.EIGENBASIS_MARGIN * noise / distinguish.NULLSPACE_RTOL
+
+
+@pytest.mark.parametrize("split", ["0.5 group gap", "2 group gap", "1e-6", "0.5 eigenbasis gap",
+                                   "2 eigenbasis gap"])
+@pytest.mark.parametrize("partner", ["flat", "mixing", "commuting"])
+def test_splitting_near_the_grouping_thresholds(split, partner):
+    # rho1 has two eigenvalues split just below or above GROUP_GAP_FACTOR * scale,
+    # at 1e-6 * scale, or just below or above the gap at which its eigenbasis
+    # solve merges them; the commutant and the decomposition must not notice
+    rng = np.random.default_rng(25)
+    u = random_unitary(rng, 4)
+    base = np.array([0.4, 0.4, 0.15, 0.05])
+    other = {
+        "flat": np.eye(4) / 4,
+        "mixing": block_diag(0.5 * random_density(2, 2, rng).entries, np.diag([0.3, 0.2])),
+        "commuting": np.diag([0.1, 0.2, 0.3, 0.4]),
+    }[partner]
+    w_other = np.linalg.eigvalsh(other)
+    scale = np.hypot(base[0] - base[3], w_other[-1] - w_other[0])
+    factor, _, unit = split.partition(" ")
+    delta = float(factor) * {
+        "group gap": distinguish.GROUP_GAP_FACTOR * scale,
+        "": scale,
+        "eigenbasis gap": eigenbasis_gap(base),
+    }[unit]
+    p = np.diag(base + np.array([-delta / 2, delta / 2, 0.0, 0.0]))
+    report = assert_matches_full_space(rotated(u, p), rotated(u, other), seed=25, unique=True)
+    assert report.commutant_dim == (3 if partner == "mixing" else 4)
+
+
+@pytest.mark.parametrize("random_basis", [False, True])
+def test_flat_pair_has_the_whole_hermitian_commutant(random_basis):
+    d = 5
+    u = random_unitary(np.random.default_rng(26), d) if random_basis else np.eye(d)
+    flat = rotated(u, np.eye(d) / d)
+    report = common_invariant_decomposition(flat, flat, seed=26)
+    assert report.commutant_dim == d * d
+    assert len(report.subspaces) == d
+    assert all(s.shape == (d, 1) for s in report.subspaces)
+    assert not report.distinguishable
+
+
+def test_report_diagnostics_and_witness_projector():
+    rho1 = DensityMatrix(np.diag([0.5, 0.5]))
+    rho2 = DensityMatrix(np.diag([0.7, 0.3]))
+    report = common_invariant_decomposition(rho1, rho2, seed=0)
+    assert report.commutant_dim == 2
+    eye = np.eye(2)
+    residual = max(
+        np.abs((eye - s @ s.conj().T) @ rho.entries @ s @ s.conj().T).max()
+        for s in report.subspaces
+        for rho in (rho1, rho2)
+    )
+    assert report.invariance_residual == residual
+    flag, proj = nondisturbing_distinguishable(rho1, rho2, seed=0)
+    assert flag
+    assert np.array_equal(proj, report.witness_projector())
+    same = common_invariant_decomposition(rho1, rho1, seed=0)
+    assert same.witness_projector() is None

@@ -19,9 +19,12 @@ group, which only adds unknowns.  With
 the smallest eigenvalue, the null space of the commutator map keeps singular
 values up to ``NULLSPACE_RTOL * scale``.  ``scale`` bounds the largest
 singular value of the stacked map X -> ([X, rho1], [X, rho2]) from above and
-is within a factor sqrt(2) of it.  When both spectra are flat (spread at most
-``FLAT_RTOL * max(1, largest |eigenvalue|)``) every Hermitian matrix commutes
-with both states and the whole Hermitian space is returned, without a solve.
+is within a factor sqrt(2) of it.  A state with a flat spectrum (spread at
+most ``FLAT_RTOL * max(1, largest |eigenvalue|)``) commutes with every
+Hermitian matrix, so it is left out of the map and of ``scale``: its rounding
+noise, rotated into the other state's eigenbasis, would otherwise lie above a
+cutoff set by a small spread of the other state.  When both spectra are flat
+the whole Hermitian space is returned, without a solve.
 
 For a continuously evolving clock the relevant subspaces are the spectral
 blocks of the Hamiltonian, and the block weights are conserved in time; that
@@ -94,22 +97,30 @@ def _commutant_basis(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     the null space of the stacked real-linear maps X -> [X, rho] restricted to
     that state's eigenvalue blocks; the module docstring gives the cutoffs.
     """
-    spectra = [np.linalg.eigh(rho) for rho in (rho1, rho2)]
-    if all(_is_flat(w) for w, _ in spectra):
+    # a flat state commutes with every X: it constrains nothing, and its
+    # rounding noise could sit above a cutoff set by the other state's spread
+    live = [(rho, *np.linalg.eigh(rho)) for rho in (rho1, rho2)]
+    live = [(rho, w, v) for rho, w, v in live if not _is_flat(w)]
+    if not live:
         return _block_hermitian_basis([np.arange(rho1.shape[0])])[0]
-    scale = float(np.hypot(*(w[-1] - w[0] for w, _ in spectra)))
-    groupings = [_eigenbasis_blocks(w) for w, _ in spectra]
+    scale = float(np.hypot.reduce([w[-1] - w[0] for _, w, _ in live]))
+    groupings = [_eigenbasis_blocks(w) for _, w, _ in live]
     unknowns = [sum(g.size ** 2 for g in groups) for groups in groupings]
-    side = int(unknowns[1] < unknowns[0])
-    w, v = spectra[side]
-    other = v.conj().T @ (rho2, rho1)[side] @ v
+    side = int(np.argmin(unknowns))  # ties go to rho1
+    _, w, v = live[side]
     units, k, l = _block_hermitian_basis(groupings[side])
-    cross = (units @ other - other @ units).reshape(len(units), -1)
     # X -> [X, diag(w)] maps the units to mutually orthogonal matrices of norm
     # |w_k - w_l|: an n x n diagonal has the same Gram matrix as their 2 d^2 real rows
-    own = np.diag(np.abs(w[k] - w[l]))
-    stacked = np.concatenate([own, cross.real.T, cross.imag.T])  # (n + 2 d^2) x n
-    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    rows = [np.diag(np.abs(w[k] - w[l]))]
+    for rho, _, _ in live[:side] + live[side + 1:]:
+        other = v.conj().T @ rho @ v
+        cross = (units @ other - other @ units).reshape(len(units), -1)
+        rows += [cross.real.T, cross.imag.T]
+    stacked = np.concatenate(rows)  # (n + 2 d^2) x n, or n x n with one state left
+    # the right singular vectors of stacked are those of its QR factor R; going
+    # through R skips forming the tall left factor (LAPACK's gesdd does the
+    # same QR internally, so for the tall map the result is the same)
+    _, s, vt = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
     null_rows = vt[s <= NULLSPACE_RTOL * scale]
     return v @ np.tensordot(null_rows, units, axes=1) @ v.conj().T
 
@@ -160,8 +171,9 @@ def common_invariant_decomposition(
     eigenspaces (grouped across near-degenerate eigenvalues) give the
     subspaces.  The commutant is solved in the eigenbasis of one state, over
     the sum of m_k^2 unknowns inside its eigenvalue groups, with the cutoff
-    ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``; when both states are
-    proportional to the identity every Hermitian matrix is in it (see the
+    ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``.  A state
+    proportional to the identity constrains nothing and is left out of that
+    solve; when both are, every Hermitian matrix is in the commutant (see the
     module docstring).  Each candidate decomposition is certified by checking
     invariance of every subspace under both states; uncertified draws are
     retried up to MAX_REDRAWS times before giving up.

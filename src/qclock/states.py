@@ -28,13 +28,14 @@ def _as_complex_square(entries, what: str) -> np.ndarray:
 def _hermitize(entries, what: str) -> np.ndarray:
     """Symmetrize (M + M†)/2, rejecting matrices that are not Hermitian to float noise."""
     mat = _as_complex_square(entries, what)
-    dev = np.abs(mat - mat.conj().T).max()
+    adjoint = mat.conj().T
+    dev = np.abs(mat - adjoint).max()
     if dev > HERMITIAN_TOL:
         raise ValidationError(
             f"{what} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}",
             detail={"deviation": float(dev)},
         )
-    out = (mat + mat.conj().T) / 2
+    out = (mat + adjoint) / 2
     out.setflags(write=False)
     return out
 

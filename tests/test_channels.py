@@ -15,6 +15,7 @@ from qclock import (
     channel_from_kraus,
     covariant_twirl,
     depolarizing_channel,
+    equal_superposition_clock,
     evolution_channel,
     evolve,
     identity_channel,
@@ -26,6 +27,7 @@ from qclock import (
     random_density,
     random_hamiltonian,
     tensor,
+    total_hamiltonian,
     unitary_channel,
     validate_cptp,
 )
@@ -100,6 +102,145 @@ def test_validate_eigen_surgery_breaks_positivity():
     report = validate_cptp(doctored)
     assert report.cp_violation == pytest.approx(0.01, abs=1e-10)
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# CPTP validation on the decoupled Choi blocks, against a dense eigvalsh
+# ---------------------------------------------------------------------------
+
+
+def ladder_sweep_broadcast(seed):
+    """Broadcast channel of one (16,4,4) ladder copy-bound sweep row: a twirled 16 -> 16 channel."""
+    h_in = equal_superposition_clock(16, 1.0).hamiltonian
+    h_out = total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0))
+    return covariant_twirl(random_channel(16, 16, 2, np.random.default_rng(seed)), h_in, h_out)
+
+
+def bfs_components(pattern):
+    """Reference: breadth-first search from each unvisited vertex, one neighbour at a time."""
+    n = len(pattern)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = [start], []
+        while queue:
+            v = queue.pop(0)
+            members.append(v)
+            for u in range(n):
+                if pattern[v, u] and not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        components.append(frozenset(members))
+    return set(components)
+
+
+def label_partition(labels):
+    return {frozenset(np.flatnonzero(labels == lab).tolist()) for lab in np.unique(labels)}
+
+
+def assert_matches_dense_spectrum(channel, tol=1e-12):
+    """validate_cptp and the block spectra against np.linalg.eigvalsh of the whole Choi matrix."""
+    dense = np.linalg.eigvalsh(channel.choi)
+    stacks = channels._choi_blocks(channel.choi)
+    blockwise = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]))
+    assert np.abs(blockwise - dense).max() <= tol
+    for idx, blocks in stacks:
+        for rows, block in zip(idx, blocks):
+            assert np.array_equal(block, channel.choi[np.ix_(rows, rows)])
+    assert sorted(np.concatenate([idx.ravel() for idx, _ in stacks]).tolist()) == list(
+        range(channel.choi.shape[0])
+    )
+    report = validate_cptp(channel)
+    assert report.cp_violation == pytest.approx(max(0.0, -dense[0]), abs=tol)
+    assert report.largest_block == max(idx.shape[1] for idx, _ in stacks)
+    return report
+
+
+def test_block_spectrum_of_a_ladder_twirl():
+    channel = ladder_sweep_broadcast(seed=40)
+    assert len(np.unique(channels._pattern_components(channel.choi != 0))) == 22
+    report = assert_matches_dense_spectrum(channel)
+    assert report.largest_block == 16
+    assert report.ok
+
+
+def test_block_spectrum_of_a_dense_channel():
+    channel = random_channel(3, 4, 2, seed=41)
+    assert np.count_nonzero(channel.choi) == 144
+    report = assert_matches_dense_spectrum(channel)
+    assert report.largest_block == 12
+    assert report.ok
+
+
+def test_negative_eigenvalue_hidden_in_a_small_block():
+    rng = np.random.default_rng(42)
+    small = np.diag([-0.01, 0.3])
+    u = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]]) * np.exp(0.4j)
+    blocks = [
+        random_density(3, 3, rng).entries, u @ small @ u.conj().T, random_density(1, 1, rng).entries
+    ]
+    choi = np.zeros((6, 6), dtype=complex)
+    perm = rng.permutation(6)  # interleave the blocks
+    start = 0
+    for blk in blocks:
+        rows = perm[start:start + len(blk)]
+        choi[np.ix_(rows, rows)] = blk
+        start += len(blk)
+    report = assert_matches_dense_spectrum(QuantumChannel(2, 3, choi))
+    assert report.cp_violation == pytest.approx(0.01, abs=1e-12)
+    assert report.largest_block == 3
+    assert not report.ok
+
+
+def test_chain_pattern_is_joined_transitively():
+    # a path through a random ordering: each vertex sees only its two chain
+    # neighbours, so only transitive coupling makes it one component
+    n = 12
+    order = np.random.default_rng(43).permutation(n)
+    choi = np.zeros((n, n), dtype=complex)
+    choi[order, order] = 2.0
+    choi[order[:-1], order[1:]] = -1.0 - 0.5j
+    choi[order[1:], order[:-1]] = -1.0 + 0.5j
+    report = assert_matches_dense_spectrum(QuantumChannel(3, 4, choi))
+    assert report.largest_block == n
+
+
+def test_tiny_coupling_merges_blocks():
+    choi = np.kron(np.eye(2), np.full((3, 3), 1.0 / 3)).astype(complex)
+    assert validate_cptp(QuantumChannel(2, 3, choi)).largest_block == 3
+    choi[1, 4] = choi[4, 1] = 1e-300
+    report = assert_matches_dense_spectrum(QuantumChannel(2, 3, choi))
+    assert report.largest_block == 6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pattern_components_match_breadth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    pattern = rng.random((n, n)) < rng.uniform(0.5, 2.5) / n
+    pattern |= pattern.T
+    pattern[np.diag_indices(n)] = rng.random(n) < 0.5  # some rows are entirely zero
+    labels = channels._pattern_components(pattern)
+    assert label_partition(labels) == bfs_components(pattern)
+    for component in label_partition(labels):
+        assert set(labels[sorted(component)]) == {min(component)}
+
+
+def test_ladder_sweep_row_diagonalises_only_small_blocks(monkeypatch):
+    channel = ladder_sweep_broadcast(seed=44)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(channels.np.linalg, "eigvalsh", recording_eigvalsh)
+    assert validate_cptp(channel).ok
+    assert sizes and max(sizes) <= 16
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +506,30 @@ def test_choi_kraus_round_trip():
     assert np.abs(rebuilt.choi - ch.choi).max() <= 1e-10
 
 
+def test_choi_kraus_round_trip_on_a_ladder_twirl():
+    channel = ladder_sweep_broadcast(seed=45)
+    tol = 1e-9
+    ops = kraus_operators(channel, tol=tol)
+    assert len(ops) == np.count_nonzero(np.linalg.eigvalsh(channel.choi) > tol)
+    weights = [np.linalg.norm(k) ** 2 for k in ops]  # each operator carries sqrt(eigenvalue)
+    assert weights == sorted(weights)
+    rebuilt = channel_from_kraus(ops, 16, 16)
+    assert np.abs(rebuilt.choi - channel.choi).max() <= 1e-12
+
+
+def test_channel_from_kraus_matches_outer_product_sum():
+    rng = np.random.default_rng(46)
+    kraus = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) for _ in range(3)]
+    expected = np.zeros((12, 12), dtype=complex)
+    for k in kraus:
+        vec = k.T.reshape(-1)
+        expected += np.outer(vec, vec.conj())
+    assert np.abs(channel_from_kraus(kraus, 3, 4).choi - expected).max() <= 1e-14
+    assert np.array_equal(channel_from_kraus([], 3, 4).choi, np.zeros((12, 12)))
+    with pytest.raises(DimensionMismatchError):
+        channel_from_kraus([kraus[0], kraus[1].T], 3, 4)
+
+
 def test_unitary_channel_rejects_non_unitary():
     with pytest.raises(Exception):
         unitary_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -382,8 +547,6 @@ def test_twirl_handles_exactly_degenerate_spectra():
 
 
 def test_tensor_of_covariant_channels_is_covariant_for_the_sum():
-    from qclock import total_hamiltonian
-
     h_a = random_hamiltonian(2, seed=61)
     h_b = random_hamiltonian(2, seed=62)
     ch_a = covariant_twirl(random_channel(2, 2, 2, seed=63), h_a, h_a)

@@ -111,6 +111,7 @@ def test_check_channel_and_twirl_pipeline(tmp_path):
     code, out = run_cli(["check-channel", "--channel", ch_path, "--hamiltonian-in", hin_path, "--hamiltonian-out", hout_path])
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"cp_violation", "tp_violation", "ok", "covariance"}
     assert doc["ok"]
     assert not doc["covariance"]["is_covariant"]
 

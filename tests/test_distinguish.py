@@ -501,6 +501,28 @@ def test_splitting_near_the_grouping_thresholds(split, partner):
     assert report.commutant_dim == (3 if partner == "mixing" else 4)
 
 
+def test_flat_partner_is_left_out_of_the_solve():
+    # rho1 is split by 6e-10, far below the gap at which its eigenbasis solve
+    # splits groups, so both states give 4 unknowns.  I/2 rotated into rho1's
+    # eigenbasis carries rounding noise of ~6e-17, far above the cutoff
+    # NULLSPACE_RTOL * 6e-10; kept in the map, it cut the diagonal commutant to 1
+    rng = np.random.default_rng(27)
+    u = random_unitary(rng, 2)
+    rho1 = rotated(u, np.diag([0.5 - 3e-10, 0.5 + 3e-10]))
+    exact = assert_matches_full_space(rho1, DensityMatrix(np.eye(2) / 2), seed=27)
+    # a partner that is I/2 only up to rounding must give the same lines
+    rounded = rotated(random_unitary(rng, 2), np.eye(2) / 2)
+    assert np.abs(rounded.entries - np.eye(2) / 2).max() > 0
+    noisy = common_invariant_decomposition(rho1, rounded, seed=27)
+    lines = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
+    for report in (exact, noisy):
+        assert report.commutant_dim == 2
+        assert [s.shape for s in report.subspaces] == [(2, 1), (2, 1)]
+        # a 6e-10 splitting fixes the eigenvectors only to about eps / 6e-10
+        for s in report.subspaces:
+            assert min(np.abs(s @ s.conj().T - p).max() for p in lines) <= 1e-5
+
+
 @pytest.mark.parametrize("random_basis", [False, True])
 def test_flat_pair_has_the_whole_hermitian_commutant(random_basis):
     d = 5

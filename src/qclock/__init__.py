@@ -41,6 +41,7 @@ from .distinguish import (
     DecompositionReport,
     common_invariant_decomposition,
     conserved_block_traces,
+    max_commutator,
     nondisturbing_distinguishable,
     orthogonal_times,
     pairwise_commuting,

@@ -18,7 +18,6 @@ seeded Monte-Carlo ensembles of twirled random channels and report margins.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +159,21 @@ def time_uncertainty_check(report: CopyBoundReport) -> UncertaintyReport:
     """Restate a copy-bound report as the squared-uncertainty inequality.
 
     dt = 1/sqrt(F) per signal; vanishing information is reported as unbounded
-    uncertainty and satisfies the inequality trivially.  The verdict is
-    algebraically the same as the copy-bound verdict.
+    uncertainty.  Since dt^2 = 1/F, the inequality's two sides and verdict are
+    the copy bound's own, and are taken from the report.
     """
 
     def uncertainty(f: float) -> float:
         return math.inf if f <= F_FLOOR else 1.0 / math.sqrt(f)
 
-    dt_in = uncertainty(report.f_in)
-    dt1 = uncertainty(report.f1)
-    dt2 = uncertainty(report.f2)
-    lhs = dt1 * dt1 + dt2 * dt2
-    rhs = (2.0 * dt_in * dt_in if not math.isinf(dt_in) else math.inf) + 2.0 * _reciprocal(
-        report.e2
+    return UncertaintyReport(
+        dt_in=uncertainty(report.f_in),
+        dt1=uncertainty(report.f1),
+        dt2=uncertainty(report.f2),
+        lhs=report.lhs,
+        rhs=report.rhs,
+        satisfied=report.satisfied,
     )
-    _, satisfied = _margin(lhs, rhs)
-    return UncertaintyReport(dt_in=dt_in, dt1=dt1, dt2=dt2, lhs=lhs, rhs=rhs, satisfied=satisfied)
 
 
 @dataclass(frozen=True)
@@ -408,26 +406,17 @@ def _normalize_config(config: dict, seed) -> dict:
     return out
 
 
-def sweep(config: dict, seed=None, workers: int = 1) -> SweepResult:
+def sweep(config: dict, seed=None) -> SweepResult:
     """Run a seeded Monte-Carlo sweep of copy-bound or monotonicity checks.
 
-    Every sample derives its own sub-seed as seed + sample index, so results
-    are identical whether samples run sequentially or on ``workers`` threads.
+    Samples run in index order, and sample k derives its own sub-seed as
+    seed + k, so a row depends only on its sub-seed and the config.
     """
     cfg = _normalize_config(config, seed)
     base_seed = cfg["seed"]
     samples = cfg["samples"]
     sample_fn = _copy_bound_sample if cfg["experiment"] == "copy_bound" else _monotonicity_sample
-
-    def run(index: int) -> list:
-        return sample_fn(cfg, base_seed, index)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            chunks = list(pool.map(run, range(samples)))
-    else:
-        chunks = [run(i) for i in range(samples)]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for index in range(samples) for row in sample_fn(cfg, base_seed, index)]
 
     margins = [row["margin"] for row in rows]
     summary = {

@@ -8,6 +8,7 @@ stdout), 1 internal errors, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -80,11 +81,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=distinguish.DEFAULT_DISTINGUISH_TOL)
 
     p = add("broadcastable", "pairwise commutativity of a state family")
     p.add_argument("--states", nargs="+", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=distinguish.DEFAULT_COMMUTE_TOL)
 
     p = add("orthogonal-times", "mutually orthogonal times of the equal-superposition clock")
     p.add_argument("--levels", type=int, required=True)
@@ -105,7 +106,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -230,15 +230,8 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_broadcastable(args) -> dict:
     family = [fileio.density_from_json(_read_json(path)) for path in args.states]
-    worst = 0.0
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            a, b = family[i].entries, family[j].entries
-            worst = max(worst, float(np.abs(a @ b - b @ a).max()))
-    return {
-        "commuting": distinguish.pairwise_commuting(family, tol=args.tol),
-        "max_commutator": worst,
-    }
+    worst = distinguish.max_commutator(family)
+    return {"commuting": worst <= args.tol, "max_commutator": worst}
 
 
 def _cmd_orthogonal_times(args) -> dict:
@@ -253,27 +246,9 @@ def _cmd_orthogonal_times(args) -> dict:
 
 
 def _copy_bound_doc(report: bounds.CopyBoundReport) -> dict:
-    uncertainty = bounds.time_uncertainty_check(report)
-    return {
-        "f_in": report.f_in,
-        "f1": report.f1,
-        "f2": report.f2,
-        "e2": report.e2,
-        "e2_unshifted": report.e2_unshifted,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "satisfied": report.satisfied,
-        "covariance_residual": report.covariance_residual,
-        "uncertainty": {
-            "dt_in": uncertainty.dt_in,
-            "dt1": uncertainty.dt1,
-            "dt2": uncertainty.dt2,
-            "lhs": uncertainty.lhs,
-            "rhs": uncertainty.rhs,
-            "satisfied": uncertainty.satisfied,
-        },
-    }
+    doc = dataclasses.asdict(report)
+    doc["uncertainty"] = dataclasses.asdict(bounds.time_uncertainty_check(report))
+    return doc
 
 
 def _cmd_copy_bound(args) -> dict:
@@ -292,16 +267,11 @@ def _cmd_monotonicity(args) -> dict:
         fileio.channel_from_json(_read_json(args.channel)),
         fileio.hamiltonian_from_json(_read_json(args.hamiltonian_out)),
     )
-    return {
-        "f_in": report.f_in,
-        "f_out": report.f_out,
-        "covariance_residual": report.covariance_residual,
-        "holds": report.holds,
-    }
+    return dataclasses.asdict(report)
 
 
 def _cmd_sweep(args):
-    result = bounds.sweep(_read_json(args.config), seed=args.seed, workers=args.workers)
+    result = bounds.sweep(_read_json(args.config), seed=args.seed)
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.output and args.output.endswith(".csv") else "json"

@@ -33,6 +33,7 @@ conservation is what forbids reading a clock without disturbing it, and
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ GROUP_GAP_FACTOR = 1e-7
 FLAT_RTOL = 1e-12
 EIGENBASIS_MARGIN = 20.0
 MAX_REDRAWS = 5
+DEFAULT_DISTINGUISH_TOL = 1e-9
+DEFAULT_COMMUTE_TOL = 1e-10
 
 
 def _is_flat(w: np.ndarray) -> bool:
@@ -162,7 +165,7 @@ class DecompositionReport:
 def common_invariant_decomposition(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_DISTINGUISH_TOL,
     seed=0,
 ) -> DecompositionReport:
     """Decompose the space into the finest subspaces invariant under both states.
@@ -222,7 +225,7 @@ def common_invariant_decomposition(
 def nondisturbing_distinguishable(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_DISTINGUISH_TOL,
     seed=0,
 ):
     """Decide the criterion and, when it holds, return the witness projector.
@@ -244,7 +247,7 @@ class BlockTraceReport:
 
 
 def conserved_block_traces(
-    clock: ClockSystem, times, tol: float = 1e-9
+    clock: ClockSystem, times, tol: float = DEFAULT_DISTINGUISH_TOL
 ) -> BlockTraceReport:
     """Verify that spectral-block weights of the state are constant along the orbit.
 
@@ -272,19 +275,20 @@ def conserved_block_traces(
     return BlockTraceReport(block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= tol)
 
 
-def pairwise_commuting(states, tol: float = 1e-10) -> bool:
-    """True iff all pairs of states commute; the broadcastability criterion."""
+def max_commutator(states) -> float:
+    """Largest max-abs entry of [a, b] = a b - b a over all pairs of the states."""
     mats = [s.entries for s in states]
     if len(mats) < 2:
         raise DomainError("need at least two states")
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise DimensionMismatchError(f"states live on different dimensions: {sorted(dims)}")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max() > tol:
-                return False
-    return True
+    return max(float(np.abs(a @ b - b @ a).max()) for a, b in itertools.combinations(mats, 2))
+
+
+def pairwise_commuting(states, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
+    """True iff all pairs of states commute; the broadcastability criterion."""
+    return max_commutator(states) <= tol
 
 
 def orthogonal_times(n: int, quantum: float) -> np.ndarray:

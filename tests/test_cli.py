@@ -1,8 +1,10 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,14 @@ def test_broadcastable_subcommand(tmp_path):
     assert doc["commuting"] and doc["max_commutator"] <= 1e-12
 
 
+def test_broadcastable_dimension_mismatch_exits_2(tmp_path):
+    a = write_json(tmp_path / "a.json", fileio.matrix_to_json(np.eye(2) / 2))
+    b = write_json(tmp_path / "b.json", fileio.matrix_to_json(np.eye(3) / 3))
+    code, out = run_cli(["broadcastable", "--states", a, b])
+    assert code == 2
+    assert json.loads(out)["code"] == "dimension-mismatch"
+
+
 def test_orthogonal_times_subcommand():
     code, out = run_cli(["orthogonal-times", "--levels", "4", "--quantum", "1"])
     assert code == 0
@@ -203,6 +213,11 @@ def test_copy_bound_and_monotonicity_subcommands(tmp_path):
     code, out = run_cli(["copy-bound", "--clock", clock_path, "--channel", ch_path, "--hamiltonian-one", h1_path, "--hamiltonian-two", h2_path])
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == [
+        "f_in", "f1", "f2", "e2", "e2_unshifted", "lhs", "rhs", "margin", "satisfied",
+        "covariance_residual", "uncertainty",
+    ]
+    assert list(doc["uncertainty"]) == ["dt_in", "dt1", "dt2", "lhs", "rhs", "satisfied"]
     assert doc["satisfied"]
     assert doc["uncertainty"]["satisfied"]
 
@@ -213,7 +228,9 @@ def test_copy_bound_and_monotonicity_subcommands(tmp_path):
     hout_path = write_json(tmp_path / "hout.json", fileio.matrix_to_json(h_out.entries))
     code, out = run_cli(["monotonicity", "--clock", clock_path, "--channel", mono_path, "--hamiltonian-out", hout_path])
     assert code == 0
-    assert json.loads(out)["holds"]
+    doc = json.loads(out)
+    assert list(doc) == ["f_in", "f_out", "covariance_residual", "holds"]
+    assert doc["holds"]
 
 
 def test_copy_bound_noncovariant_exits_2(tmp_path):
@@ -253,21 +270,25 @@ def test_no_subcommand_exits_64():
     assert cli.run([]) == 64
 
 
-def test_sweep_csv_reproducible_and_parallel(tmp_path):
+def test_sweep_csv_reproducible(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",
         {"experiment": "copy_bound", "samples": 4, "dim_in": 3, "dim_out1": 2, "dim_out2": 2},
     )
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    out3 = tmp_path / "c.csv"
     assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--output", str(out1)])[0] == 0
     assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--output", str(out2)])[0] == 0
-    assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--workers", "4", "--output", str(out3)])[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_bytes() == out3.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header.startswith("sample_id,seed,dim_in,dim_out1,dim_out2,f_in,f1,f2,e2,lhs,rhs,margin,satisfied,covariance_residual")
+
+
+def test_sweep_workers_flag_is_a_usage_error(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "monotonicity", "samples": 1, "dim": 2})
+    with pytest.raises(SystemExit) as info:
+        cli.run(["sweep", "--config", cfg, "--seed", "1", "--workers", "2"])
+    assert info.value.code == 64
 
 
 def test_sweep_json_format_on_stdout(tmp_path):
@@ -276,6 +297,13 @@ def test_sweep_json_format_on_stdout(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["all_satisfied"] is True
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith("qclock ")]
+    parser = cli._build_parser()
+    assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == set(cli._DISPATCH)
 
 
 def test_console_entry_point_runs_in_subprocess(plus_clock_file):

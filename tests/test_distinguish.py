@@ -12,6 +12,7 @@ from qclock import (
     conserved_block_traces,
     equal_superposition_clock,
     evolve,
+    max_commutator,
     nondisturbing_distinguishable,
     orthogonal_times,
     pairwise_commuting,
@@ -237,6 +238,32 @@ def test_orthogonal_time_states_commute():
     assert pairwise_commuting(states)
 
 
+def loop_max_commutator(states):
+    """Reference: max-abs entry of a b - b a over all ordered pairs, diagonal included."""
+    mats = [s.entries for s in states]
+    return max(float(np.abs(a @ b - b @ a).max()) for a in mats for b in mats)
+
+
+@pytest.mark.parametrize("spoiled", [False, True])
+def test_max_commutator_matches_pairwise_loop(spoiled):
+    rng = np.random.default_rng(40)
+    q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    family = [DensityMatrix(q @ np.diag(p) @ q.conj().T) for p in rng.dirichlet(np.ones(5), size=4)]
+    if spoiled:
+        family[2] = random_density(5, 3, seed=41)
+    worst = max_commutator(family)
+    assert worst == loop_max_commutator(family)
+    assert (worst > 1e-3) is spoiled
+    assert pairwise_commuting(family) is not spoiled
+
+
+def test_max_commutator_needs_two_states_of_one_dimension():
+    with pytest.raises(DomainError):
+        max_commutator([DensityMatrix(np.eye(2) / 2)])
+    with pytest.raises(DimensionMismatchError):
+        max_commutator([DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)])
+
+
 # ---------------------------------------------------------------------------
 # orthogonal times
 # ---------------------------------------------------------------------------
@@ -297,7 +324,11 @@ def test_noncommuting_block_stays_one_subspace():
 
 
 def full_space_commutant(a, b):
-    """Reference: null space of X -> ([X, a], [X, b]) over all Hermitian X (full SVD)."""
+    """Reference: null space of X -> ([X, a], [X, b]) over all Hermitian X (full SVD).
+
+    A state with a flat spectrum commutes with every X and is left out of the
+    map: its rounding noise can lie above a cutoff set by the other state.
+    """
     dim = a.shape[0]
     basis = []
     for k in range(dim):
@@ -313,13 +344,20 @@ def full_space_commutant(a, b):
             m[k, l] = -1j / np.sqrt(2.0)
             m[l, k] = 1j / np.sqrt(2.0)
             basis.append(m)
+    live = []
+    for rho in (a, b):
+        w = np.linalg.eigvalsh(rho)
+        if w[-1] - w[0] > 1e-12 * max(1.0, float(np.abs(w).max())):
+            live.append(rho)
+    if not live:
+        return np.array(basis)
     columns = []
     for m in basis:
-        c1 = m @ a - a @ m
-        c2 = m @ b - b @ m
-        columns.append(
-            np.concatenate([c1.real.ravel(), c1.imag.ravel(), c2.real.ravel(), c2.imag.ravel()])
-        )
+        parts = []
+        for rho in live:
+            c = m @ rho - rho @ m
+            parts += [c.real.ravel(), c.imag.ravel()]
+        columns.append(np.concatenate(parts))
     _, s, vt = np.linalg.svd(np.array(columns).T)
     null_rows = vt[s <= distinguish.NULLSPACE_RTOL * s[0]]
     return np.tensordot(null_rows, np.array(basis), axes=1)
@@ -513,7 +551,7 @@ def test_flat_partner_is_left_out_of_the_solve():
     # a partner that is I/2 only up to rounding must give the same lines
     rounded = rotated(random_unitary(rng, 2), np.eye(2) / 2)
     assert np.abs(rounded.entries - np.eye(2) / 2).max() > 0
-    noisy = common_invariant_decomposition(rho1, rounded, seed=27)
+    noisy = assert_matches_full_space(rho1, rounded, seed=27)
     lines = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
     for report in (exact, noisy):
         assert report.commutant_dim == 2

@@ -12,13 +12,18 @@ is recorded with every report).  Equivalently, in estimation-error form,
 (dt_1)^2 + (dt_2)^2 >= 2 dt^2 + 2/<E^2>.  Covariant processing also can never
 increase timing information: F_out <= F_in.
 
+Both inequalities concern processes that run without an external clock, that
+is CPTP channels covariant for the input and output Hamiltonians.  Both checks
+pass through one gate that rejects every other map, and both verdicts come
+from one margin with one tolerance.
+
 These modules do not prove anything; they try to falsify the inequalities on
 seeded Monte-Carlo ensembles of twirled random channels and report margins.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,39 +86,50 @@ class CopyBoundReport:
     covariance_residual: float
 
 
+def _require_covariant_process(
+    clock: ClockSystem, channel: QuantumChannel, h_out: Hamiltonian
+) -> float:
+    """Admit only CPTP channels covariant for (clock's H, h_out); return the covariance residual.
+
+    Non-covariant processing can legitimately increase timing information,
+    so such channels are rejected with guidance to project them first.
+    """
+    if channel.dim_in != clock.dim or channel.dim_out != h_out.dim:
+        raise DimensionMismatchError(
+            f"channel {channel.dim_in}->{channel.dim_out} does not map clock dim "
+            f"{clock.dim} to output dim {h_out.dim}"
+        )
+    cptp = validate_cptp(channel)
+    if not cptp.ok:
+        raise PreconditionError(
+            "channel is not CPTP "
+            f"(cp violation {cptp.cp_violation:.3e}, tp violation {cptp.tp_violation:.3e})"
+        )
+    tol = DEFAULT_COVARIANCE_PRECONDITION_TOL
+    cov = is_covariant(channel, clock.hamiltonian, h_out, tol=tol)
+    if not cov.is_covariant:
+        raise PreconditionError(
+            f"channel is not covariant (residual {cov.residual:.3e} > {tol:.1e}); "
+            "apply covariant_twirl first"
+        )
+    return cov.residual
+
+
 def copy_bound_check(
     clock: ClockSystem,
     broadcast: QuantumChannel,
     h1: Hamiltonian,
     h2: Hamiltonian,
-    covariance_tol: float = DEFAULT_COVARIANCE_PRECONDITION_TOL,
 ) -> CopyBoundReport:
     """Evaluate the copy bound for one clock and one two-output broadcast channel.
 
-    The broadcast must be CPTP and covariant for (H, H1 (x) 1 + 1 (x) H2); the
-    bound concerns processes that run without an external clock, so
-    non-covariant channels are rejected (project them with covariant_twirl
+    The broadcast must be CPTP and covariant for (H, H1 (x) 1 + 1 (x) H2);
+    other maps raise PreconditionError (project them with covariant_twirl
     first).  Reciprocals of timing informations below 1e-12 are reported as
     infinite.
     """
     h_total = total_hamiltonian(h1, h2)
-    if broadcast.dim_in != clock.dim or broadcast.dim_out != h_total.dim:
-        raise DimensionMismatchError(
-            f"broadcast {broadcast.dim_in}->{broadcast.dim_out} does not map clock dim "
-            f"{clock.dim} to joint output dim {h_total.dim}"
-        )
-    cptp = validate_cptp(broadcast)
-    if not cptp.ok:
-        raise PreconditionError(
-            "broadcast channel is not CPTP "
-            f"(cp violation {cptp.cp_violation:.3e}, tp violation {cptp.tp_violation:.3e})"
-        )
-    cov = is_covariant(broadcast, clock.hamiltonian, h_total, tol=covariance_tol)
-    if not cov.is_covariant:
-        raise PreconditionError(
-            f"broadcast is not covariant (residual {cov.residual:.3e} > {covariance_tol:.1e}); "
-            "apply covariant_twirl before checking the copy bound"
-        )
+    residual = _require_covariant_process(clock, broadcast, h_total)
 
     rho_out = apply_channel(broadcast, clock.state)
     marginal1 = partial_trace(rho_out, (h1.dim, h2.dim), keep=1)
@@ -141,7 +157,7 @@ def copy_bound_check(
         rhs=rhs,
         margin=margin,
         satisfied=satisfied,
-        covariance_residual=cov.residual,
+        covariance_residual=residual,
     )
 
 
@@ -183,37 +199,32 @@ class MonotonicityReport:
     covariance_residual: float
     holds: bool
 
+    @property
+    def margin(self) -> float:
+        """f_in - f_out, the slack that ``holds`` is judged on."""
+        return _margin(self.f_in, self.f_out)[0]
+
 
 def monotonicity_check(
     clock: ClockSystem,
     channel: QuantumChannel,
     h_out: Hamiltonian,
-    covariance_tol: float = DEFAULT_COVARIANCE_PRECONDITION_TOL,
 ) -> MonotonicityReport:
     """Check that a covariant channel does not increase timing information.
 
-    Non-covariant channels are rejected: they can legitimately increase F
-    (that is precisely what the covariance condition rules out).
+    The channel must be CPTP and covariant for (H, h_out); other maps raise
+    PreconditionError, since they can legitimately increase F (that is
+    precisely what the covariance condition rules out).
     """
-    if channel.dim_in != clock.dim or channel.dim_out != h_out.dim:
-        raise DimensionMismatchError(
-            f"channel {channel.dim_in}->{channel.dim_out} does not map clock dim "
-            f"{clock.dim} to output dim {h_out.dim}"
-        )
-    cov = is_covariant(channel, clock.hamiltonian, h_out, tol=covariance_tol)
-    if not cov.is_covariant:
-        raise PreconditionError(
-            f"channel is not covariant (residual {cov.residual:.3e} > {covariance_tol:.1e}); "
-            "apply covariant_twirl first"
-        )
+    residual = _require_covariant_process(clock, channel, h_out)
     f_in = qfi(clock).fisher_info
     out_state = apply_channel(channel, clock.state)
     f_out = qfi(ClockSystem(out_state, h_out)).fisher_info
     return MonotonicityReport(
         f_in=f_in,
         f_out=f_out,
-        covariance_residual=cov.residual,
-        holds=f_out <= f_in + MARGIN_TOL,
+        covariance_residual=residual,
+        holds=_margin(f_in, f_out)[1],
     )
 
 
@@ -270,6 +281,18 @@ def _scaled(h: Hamiltonian, lam: float) -> Hamiltonian:
     return h if lam == 1.0 else Hamiltonian(lam * h.entries)
 
 
+def _row(report, **columns) -> dict:
+    """One sweep row in frozen column order.
+
+    The report's fields fill the columns of the same name, ``columns`` fill
+    the rest, and a column the experiment has no value for stays None.
+    """
+    row = dict.fromkeys(CSV_COLUMNS + EXTRA_COLUMNS)
+    row.update((k, v) for k, v in asdict(report).items() if k in row)
+    row.update(columns)
+    return row
+
+
 def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
     dim_in = config["dim_in"]
     d1 = config["dim_out1"]
@@ -299,6 +322,7 @@ def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
         base_h2 = random_hamiltonian(d2, rng)
     raw = random_channel(dim_in, d1 * d2, kraus_rank, rng)
 
+    shared = {"sample_id": index, "seed": sub_seed, "dim_in": dim_in, "kraus_rank": kraus_rank}
     rows = []
     for lam in config["energy_scales"]:
         clock = ClockSystem(base_clock.state, _scaled(base_clock.hamiltonian, lam))
@@ -307,25 +331,7 @@ def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
         broadcast = covariant_twirl(raw, clock.hamiltonian, total_hamiltonian(h1, h2))
         report = copy_bound_check(clock, broadcast, h1, h2)
         rows.append(
-            {
-                "sample_id": index,
-                "seed": sub_seed,
-                "dim_in": dim_in,
-                "dim_out1": d1,
-                "dim_out2": d2,
-                "f_in": report.f_in,
-                "f1": report.f1,
-                "f2": report.f2,
-                "e2": report.e2,
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "margin": report.margin,
-                "satisfied": report.satisfied,
-                "covariance_residual": report.covariance_residual,
-                "kraus_rank": kraus_rank,
-                "energy_scale": lam,
-                "clock": config["clock"],
-            }
+            _row(report, **shared, dim_out1=d1, dim_out2=d2, energy_scale=lam, clock=config["clock"])
         )
     return rows
 
@@ -349,25 +355,20 @@ def _monotonicity_sample(config: dict, base_seed: int, index: int) -> list:
     channel = covariant_twirl(random_channel(dim, dim_out, kraus_rank, rng), h_in, h_out)
     report = monotonicity_check(clock, channel, h_out)
     return [
-        {
-            "sample_id": index,
-            "seed": sub_seed,
-            "dim_in": dim,
-            "dim_out1": dim_out,
-            "dim_out2": None,
-            "f_in": report.f_in,
-            "f1": report.f_out,
-            "f2": None,
-            "e2": None,
-            "lhs": report.f_in,
-            "rhs": report.f_out,
-            "margin": report.f_in - report.f_out,
-            "satisfied": report.holds,
-            "covariance_residual": report.covariance_residual,
-            "kraus_rank": kraus_rank,
-            "energy_scale": None,
-            "clock": "random",
-        }
+        _row(
+            report,
+            sample_id=index,
+            seed=sub_seed,
+            dim_in=dim,
+            kraus_rank=kraus_rank,
+            dim_out1=dim_out,
+            f1=report.f_out,
+            lhs=report.f_in,
+            rhs=report.f_out,
+            margin=report.margin,
+            satisfied=report.holds,
+            clock="random",
+        )
     ]
 
 

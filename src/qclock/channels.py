@@ -174,8 +174,7 @@ def validate_cptp(channel: QuantumChannel, tol: float = DEFAULT_CPTP_TOL) -> Cpt
     stacks = _choi_blocks(channel.choi)
     min_eig = min(float(np.linalg.eigvalsh(blocks)[:, 0].min()) for _, blocks in stacks)
     cp_violation = max(0.0, -min_eig)
-    c4 = channel.choi.reshape(channel.dim_in, channel.dim_out, channel.dim_in, channel.dim_out)
-    marginal = np.einsum("iaja->ij", c4)
+    marginal = _partial_trace_matrix(channel.choi, channel.dim_in, channel.dim_out, keep=1)
     tp_violation = float(np.abs(marginal - np.eye(channel.dim_in)).max())
     return CptpReport(
         cp_violation,

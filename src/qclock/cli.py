@@ -138,12 +138,7 @@ def _cmd_evolve(args) -> dict:
 
 
 def _cmd_moments(args) -> dict:
-    moments = states.energy_moments(_clock(args.clock))
-    return {
-        "mean": moments.mean,
-        "second_moment": moments.second_moment,
-        "std_dev": moments.std_dev,
-    }
+    return states.energy_moments(_clock(args.clock))._asdict()
 
 
 def _need(args, names):

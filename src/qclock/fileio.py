@@ -19,12 +19,6 @@ import numpy as np
 
 from .bounds import CSV_COLUMNS, EXTRA_COLUMNS, SweepResult
 from .errors import ValidationError
-from .fisher import (
-    ClassicalSignalFamily,
-    gaussian_delay_family,
-    moving_gaussian_family,
-    tabulated_family,
-)
 from .states import ClockSystem, DensityMatrix, Hamiltonian
 from .channels import QuantumChannel
 
@@ -81,31 +75,6 @@ def channel_from_json(doc) -> QuantumChannel:
     if not isinstance(doc, dict) or not {"dim_in", "dim_out", "choi"} <= set(doc):
         raise ValidationError("channel document must have keys 'dim_in', 'dim_out', 'choi'")
     return QuantumChannel(int(doc["dim_in"]), int(doc["dim_out"]), matrix_from_json(doc["choi"]))
-
-
-def family_from_json(doc) -> ClassicalSignalFamily:
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise ValidationError("signal family document must have a 'family' key")
-    name = doc["family"]
-    params = doc.get("params", {})
-    if name == "tabulated":
-        return tabulated_family(doc["sample_points"], doc["t_values"], doc["table"])
-    grid = doc.get("grid")
-    if not isinstance(grid, dict) or not {"min", "max", "points"} <= set(grid):
-        raise ValidationError("signal family document needs grid {'min','max','points'}")
-    common = (float(grid["min"]), float(grid["max"]), int(grid["points"]))
-    if name == "gaussian_delay":
-        return gaussian_delay_family(
-            float(params["delay_std"]), *common, center=float(params.get("center", 0.0))
-        )
-    if name == "moving_gaussian":
-        return moving_gaussian_family(
-            float(params["velocity"]),
-            float(params["position_std"]),
-            *common,
-            center=float(params.get("center", 0.0)),
-        )
-    raise ValidationError(f"unknown signal family {name!r}")
 
 
 def json_safe(value):

@@ -77,26 +77,16 @@ class DensityMatrix:
 class Hamiltonian:
     """Hermitian generator of clock evolution with a cached spectral decomposition.
 
-    Eigenvalues are stored ascending; inside degenerate groups the eigenvectors
-    are ordered by a deterministic lexicographic tie-break on rounded entries so
-    repeated constructions yield identical decompositions.
+    Eigenvalues are stored ascending with the eigenvectors in ``eigh``'s
+    order.  ``eigh`` is deterministic for a given matrix, so repeated
+    constructions yield identical decompositions; inside a degenerate
+    eigenspace the basis is whichever one ``eigh`` returns.
     """
 
     def __init__(self, entries):
         self.entries = _hermitize(entries, "hamiltonian")
         self.dim = self.entries.shape[0]
-        w, u = np.linalg.eigh(self.entries)
-        def _tie_break(k):
-            col = u[:, k]
-            return (
-                round(float(w[k]), 12),
-                tuple(np.round(col.real, 10)),
-                tuple(np.round(col.imag, 10)),
-            )
-
-        order = sorted(range(self.dim), key=_tie_break)
-        eigenvalues = np.ascontiguousarray(w[order])
-        eigenvectors = np.ascontiguousarray(u[:, order])
+        eigenvalues, eigenvectors = np.linalg.eigh(self.entries)
         eigenvalues.setflags(write=False)
         eigenvectors.setflags(write=False)
         self.eigenvalues = eigenvalues

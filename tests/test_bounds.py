@@ -11,11 +11,13 @@ from qclock import (
     Hamiltonian,
     PreconditionError,
     append_state,
+    apply_channel,
     copy_bound_check,
     covariant_twirl,
     depolarizing_channel,
     equal_superposition_clock,
     evolution_channel,
+    is_covariant,
     ladder_hamiltonian,
     monotonicity_check,
     qfi,
@@ -25,7 +27,9 @@ from qclock import (
     sweep,
     time_uncertainty_check,
     total_hamiltonian,
+    validate_cptp,
 )
+from qclock.bounds import CSV_COLUMNS, EXTRA_COLUMNS
 
 
 def plus_clock():
@@ -229,8 +233,6 @@ def test_monotonicity_composition_never_recovers_f():
     ch1 = covariant_twirl(random_channel(3, 3, 2, rng), h, h)
     ch2 = covariant_twirl(random_channel(3, 3, 2, rng), h, h)
     first = monotonicity_check(clock, ch1, h)
-    from qclock import apply_channel
-
     mid_clock = ClockSystem(apply_channel(ch1, clock.state), h)
     second = monotonicity_check(mid_clock, ch2, h)
     assert second.f_out <= first.f_out + 1e-8
@@ -241,6 +243,29 @@ def test_monotonicity_rejects_noncovariant_channel():
     clock = equal_superposition_clock(3, 1.0)
     with pytest.raises(PreconditionError):
         monotonicity_check(clock, random_channel(3, 3, 2, seed=5), random_hamiltonian(3, seed=5))
+
+
+def test_monotonicity_rejects_covariant_non_cp_map(non_cp_coherence_map):
+    # the map raises F, so judging it would report a false violation
+    clock, channel, h = non_cp_coherence_map
+    assert validate_cptp(channel).cp_violation == pytest.approx(0.2)
+    assert is_covariant(channel, h, h).residual == 0.0
+    f_out = qfi(ClockSystem(apply_channel(channel, clock.state), h)).fisher_info
+    assert qfi(clock).fisher_info == pytest.approx(0.8)
+    assert f_out == pytest.approx(1.108, abs=1e-3)
+    with pytest.raises(PreconditionError, match="not CPTP"):
+        monotonicity_check(clock, channel, h)
+
+
+def test_both_checks_share_one_precondition(non_cp_coherence_map):
+    # the same non-CP map, with a trivial second output, fails the copy bound
+    # with the monotonicity check's message
+    clock, channel, h = non_cp_coherence_map
+    with pytest.raises(PreconditionError) as mono:
+        monotonicity_check(clock, channel, h)
+    with pytest.raises(PreconditionError) as copy:
+        copy_bound_check(clock, channel, h, Hamiltonian(np.zeros((1, 1))))
+    assert copy.value.message == mono.value.message
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +322,18 @@ def test_sweep_monotonicity_summary():
     assert result.summary["min_margin"] >= -1e-8
     assert all(row["satisfied"] for row in result.rows)
     assert all(row["f1"] <= row["f_in"] + 1e-8 for row in result.rows)
+
+
+def test_sweep_rows_share_one_layout():
+    columns = list(CSV_COLUMNS + EXTRA_COLUMNS)
+    for row in sweep(dict(COPY_CFG, energy_scales=[0.5, 1.0]), seed=2).rows:
+        assert list(row) == columns
+        assert None not in row.values()
+    for row in sweep(MONO_CFG, seed=2).rows:
+        assert list(row) == columns
+        assert [row[k] for k in ("dim_out2", "f2", "e2", "energy_scale")] == [None] * 4
+        assert row["margin"] == row["f_in"] - row["f1"]
+        assert (row["lhs"], row["rhs"]) == (row["f_in"], row["f1"])
 
 
 def test_sweep_energy_scale_rhs_decreases():

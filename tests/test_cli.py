@@ -245,6 +245,18 @@ def test_copy_bound_noncovariant_exits_2(tmp_path):
     assert "covariant_twirl" in doc["message"]
 
 
+def test_monotonicity_non_cp_map_exits_2(tmp_path, non_cp_coherence_map):
+    clock, channel, h = non_cp_coherence_map
+    clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
+    ch_path = write_json(tmp_path / "map.json", fileio.channel_to_json(channel))
+    h_path = write_json(tmp_path / "h.json", fileio.matrix_to_json(h.entries))
+    code, out = run_cli(["monotonicity", "--clock", clock_path, "--channel", ch_path, "--hamiltonian-out", h_path])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["code"] == "precondition"
+    assert "not CPTP" in doc["message"]
+
+
 def test_invalid_matrix_exits_2(tmp_path):
     bad = write_json(tmp_path / "bad.json", fileio.matrix_to_json(np.eye(2)))
     clock_doc = {"state": json.loads((tmp_path / "bad.json").read_text()), "hamiltonian": fileio.matrix_to_json(np.eye(2))}

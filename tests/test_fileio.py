@@ -50,23 +50,6 @@ def test_density_from_json_validates_state():
         fileio.density_from_json(bad)
 
 
-def test_family_from_json_gaussian_delay():
-    doc = {
-        "family": "gaussian_delay",
-        "params": {"delay_std": 0.5},
-        "grid": {"min": -5, "max": 5, "points": 801},
-    }
-    family = fileio.family_from_json(doc)
-    assert family.sample_points.size == 801
-    probs = family.density_at(0.1)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_family_from_json_rejects_unknown():
-    with pytest.raises(ValidationError):
-        fileio.family_from_json({"family": "sawtooth", "grid": {"min": 0, "max": 1, "points": 5}})
-
-
 def test_json_safe_replaces_nonfinite():
     doc = {"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": "x"}
     safe = fileio.json_safe(doc)
@@ -116,14 +99,3 @@ def test_sweep_json_mirrors_rows():
     assert doc["summary"]["rows"] == 2
     assert doc["rows"][0]["f_in"] == result.rows[0]["f_in"]
     json.dumps(fileio.json_safe(doc))
-
-
-def test_family_from_json_tabulated():
-    doc = {
-        "family": "tabulated",
-        "sample_points": [0.0, 1.0, 2.0],
-        "t_values": [0.0, 0.5],
-        "table": [[0.2, 0.5, 0.3], [0.1, 0.6, 0.3]],
-    }
-    family = fileio.family_from_json(doc)
-    assert family.density_at(0.5) == pytest.approx([0.1, 0.6, 0.3])

@@ -19,6 +19,13 @@ from one margin with one tolerance.
 
 These modules do not prove anything; they try to falsify the inequalities on
 seeded Monte-Carlo ensembles of twirled random channels and report margins.
+The sweeps put ladder spectra on the input and on every output, so the
+signals share Bohr frequencies and the twirl keeps coherence.  Generic
+spectra share none: the twirl would leave F_1 = F_2 = 0 on every row and the
+bound would hold vacuously, so sweeps reject them.  Every column of a sweep
+row scales exactly with an energy scale lambda (F and <E^2> as lambda^2,
+reciprocals and margins as 1/lambda^2), which makes ``energy_scales`` a units
+check.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import (
+    DEFAULT_COVARIANCE_TOL,
     QuantumChannel,
     apply_channel,
     covariant_twirl,
@@ -44,12 +52,10 @@ from .states import (
     equal_superposition_clock,
     ladder_hamiltonian,
     random_density,
-    random_hamiltonian,
 )
 
 F_FLOOR = 1e-12
 MARGIN_TOL = 1e-8
-DEFAULT_COVARIANCE_PRECONDITION_TOL = 1e-8
 
 
 def _reciprocal(value: float) -> float:
@@ -105,12 +111,11 @@ def _require_covariant_process(
             "channel is not CPTP "
             f"(cp violation {cptp.cp_violation:.3e}, tp violation {cptp.tp_violation:.3e})"
         )
-    tol = DEFAULT_COVARIANCE_PRECONDITION_TOL
-    cov = is_covariant(channel, clock.hamiltonian, h_out, tol=tol)
+    cov = is_covariant(channel, clock.hamiltonian, h_out)
     if not cov.is_covariant:
         raise PreconditionError(
-            f"channel is not covariant (residual {cov.residual:.3e} > {tol:.1e}); "
-            "apply covariant_twirl first"
+            f"channel is not covariant (residual {cov.residual:.3e} "
+            f"> {DEFAULT_COVARIANCE_TOL:.1e}); apply covariant_twirl first"
         )
     return cov.residual
 
@@ -277,10 +282,6 @@ def _optional(config: dict, field: str, default, choices=None):
     return value
 
 
-def _scaled(h: Hamiltonian, lam: float) -> Hamiltonian:
-    return h if lam == 1.0 else Hamiltonian(lam * h.entries)
-
-
 def _row(report, **columns) -> dict:
     """One sweep row in frozen column order.
 
@@ -303,31 +304,17 @@ def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
     rng = np.random.default_rng(sub_seed)
 
     if config["clock"] == "equal_superposition":
-        base_clock = equal_superposition_clock(dim_in, quantum)
+        state = equal_superposition_clock(dim_in, quantum).state
     else:
-        rank = 1 + index % dim_in
-        state = random_density(dim_in, rank, rng)
-        h_in = (
-            ladder_hamiltonian(dim_in, quantum)
-            if config["hamiltonians"] == "ladder"
-            else random_hamiltonian(dim_in, rng)
-        )
-        base_clock = ClockSystem(state, h_in)
-
-    if config["hamiltonians"] == "ladder":
-        base_h1 = ladder_hamiltonian(d1, quantum)
-        base_h2 = ladder_hamiltonian(d2, quantum)
-    else:
-        base_h1 = random_hamiltonian(d1, rng)
-        base_h2 = random_hamiltonian(d2, rng)
+        state = random_density(dim_in, 1 + index % dim_in, rng)
     raw = random_channel(dim_in, d1 * d2, kraus_rank, rng)
 
     shared = {"sample_id": index, "seed": sub_seed, "dim_in": dim_in, "kraus_rank": kraus_rank}
     rows = []
     for lam in config["energy_scales"]:
-        clock = ClockSystem(base_clock.state, _scaled(base_clock.hamiltonian, lam))
-        h1 = _scaled(base_h1, lam)
-        h2 = _scaled(base_h2, lam)
+        clock = ClockSystem(state, ladder_hamiltonian(dim_in, quantum * lam))
+        h1 = ladder_hamiltonian(d1, quantum * lam)
+        h2 = ladder_hamiltonian(d2, quantum * lam)
         broadcast = covariant_twirl(raw, clock.hamiltonian, total_hamiltonian(h1, h2))
         report = copy_bound_check(clock, broadcast, h1, h2)
         rows.append(
@@ -343,15 +330,9 @@ def _monotonicity_sample(config: dict, base_seed: int, index: int) -> list:
     sub_seed = base_seed + index
     rng = np.random.default_rng(sub_seed)
 
-    rank = 1 + index % dim
-    state = random_density(dim, rank, rng)
-    if config["hamiltonians"] == "ladder":
-        h_in = ladder_hamiltonian(dim, 1.0)
-        h_out = ladder_hamiltonian(dim_out, 1.0)
-    else:
-        h_in = random_hamiltonian(dim, rng)
-        h_out = random_hamiltonian(dim_out, rng)
-    clock = ClockSystem(state, h_in)
+    h_in = ladder_hamiltonian(dim, 1.0)
+    h_out = ladder_hamiltonian(dim_out, 1.0)
+    clock = ClockSystem(random_density(dim, 1 + index % dim, rng), h_in)
     channel = covariant_twirl(random_channel(dim, dim_out, kraus_rank, rng), h_in, h_out)
     report = monotonicity_check(clock, channel, h_out)
     return [
@@ -372,7 +353,7 @@ def _monotonicity_sample(config: dict, base_seed: int, index: int) -> list:
     ]
 
 
-def _normalize_config(config: dict, seed) -> dict:
+def _normalize_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("sweep config must be a JSON object")
     experiment = _optional(config, "experiment", None, choices=("copy_bound", "monotonicity"))
@@ -380,11 +361,13 @@ def _normalize_config(config: dict, seed) -> dict:
         raise ConfigError("sweep config is missing required field 'experiment'")
     out = {"experiment": experiment}
     out["samples"] = _require(config, "samples", int, minimum=1)
-    if seed is None:
-        seed = config.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("sweep config field 'seed' must be an integer (or pass seed explicitly)")
-    out["seed"] = seed
+    hamiltonians = config.get("hamiltonians", "ladder")
+    if hamiltonians != "ladder":
+        raise ConfigError(
+            f"sweep config field 'hamiltonians' must be 'ladder', got {hamiltonians!r}: generic "
+            "spectra share no Bohr frequencies, so the covariant twirl removes every coherence "
+            "and each row would have F1 = F2 = 0"
+        )
     if experiment == "copy_bound":
         out["dim_in"] = _require(config, "dim_in", int, minimum=1)
         out["dim_out1"] = _require(config, "dim_out1", int, minimum=1)
@@ -393,7 +376,6 @@ def _normalize_config(config: dict, seed) -> dict:
         out["clock"] = _optional(
             config, "clock", "equal_superposition", choices=("equal_superposition", "random")
         )
-        out["hamiltonians"] = _optional(config, "hamiltonians", "ladder", choices=("ladder", "random"))
         out["energy_quantum"] = float(_optional(config, "energy_quantum", 1.0))
         scales = _optional(config, "energy_scales", [1.0])
         if not isinstance(scales, (list, tuple)) or not scales:
@@ -403,7 +385,6 @@ def _normalize_config(config: dict, seed) -> dict:
         out["dim"] = _require(config, "dim", int, minimum=1)
         out["dim_out"] = _optional(config, "dim_out", out["dim"])
         out["kraus_rank"] = _optional(config, "kraus_rank", 2)
-        out["hamiltonians"] = _optional(config, "hamiltonians", "ladder", choices=("ladder", "random"))
     return out
 
 
@@ -411,13 +392,16 @@ def sweep(config: dict, seed=None) -> SweepResult:
     """Run a seeded Monte-Carlo sweep of copy-bound or monotonicity checks.
 
     Samples run in index order, and sample k derives its own sub-seed as
-    seed + k, so a row depends only on its sub-seed and the config.
+    seed + k, so a row depends only on its sub-seed and the config.  The seed
+    comes only from the ``seed`` argument; a ``seed`` field in the config is
+    not read.
     """
-    cfg = _normalize_config(config, seed)
-    base_seed = cfg["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"sweep needs an integer seed argument (--seed), got {seed!r}")
+    cfg = _normalize_config(config)
     samples = cfg["samples"]
     sample_fn = _copy_bound_sample if cfg["experiment"] == "copy_bound" else _monotonicity_sample
-    rows = [row for index in range(samples) for row in sample_fn(cfg, base_seed, index)]
+    rows = [row for index in range(samples) for row in sample_fn(cfg, seed, index)]
 
     margins = [row["margin"] for row in rows]
     summary = {
@@ -427,4 +411,4 @@ def sweep(config: dict, seed=None) -> SweepResult:
         "min_margin": min(margins),
         "all_satisfied": all(row["satisfied"] for row in rows),
     }
-    return SweepResult(experiment=cfg["experiment"], seed=base_seed, rows=rows, summary=summary)
+    return SweepResult(experiment=cfg["experiment"], seed=seed, rows=rows, summary=summary)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import traceback
@@ -26,6 +27,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qclock", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")

@@ -26,15 +26,22 @@ def _as_complex_square(entries, what: str) -> np.ndarray:
 
 
 def _hermitize(entries, what: str) -> np.ndarray:
-    """Symmetrize (M + M†)/2, rejecting matrices that are not Hermitian to float noise."""
+    """Symmetrize (M + M†)/2, rejecting matrices that are not Hermitian to float noise.
+
+    A NaN or infinite entry makes the deviation NaN or infinite, so the same
+    comparison also rejects non-finite matrices.
+    """
     mat = _as_complex_square(entries, what)
     adjoint = mat.conj().T
-    dev = np.abs(mat - adjoint).max()
-    if dev > HERMITIAN_TOL:
-        raise ValidationError(
-            f"{what} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}",
-            detail={"deviation": float(dev)},
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is rejected below
+        dev = np.abs(mat - adjoint).max()
+    if not dev <= HERMITIAN_TOL:
+        reason = (
+            f"is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
+            if np.isfinite(dev)
+            else "has non-finite entries"
         )
+        raise ValidationError(f"{what} {reason}", detail={"deviation": float(dev)})
     out = (mat + adjoint) / 2
     out.setflags(write=False)
     return out

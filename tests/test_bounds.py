@@ -358,6 +358,32 @@ def test_sweep_config_errors_name_the_field():
         sweep(MONO_CFG)
 
 
+@pytest.mark.parametrize("cfg", [COPY_CFG, MONO_CFG])
+def test_sweep_rejects_random_hamiltonians(cfg):
+    # generic spectra share no Bohr frequencies: every twirled row would have F1 = 0
+    with pytest.raises(ConfigError, match="Bohr frequencies"):
+        sweep(dict(cfg, hamiltonians="random"), seed=1)
+
+
+def test_sweep_reads_no_seed_from_the_config():
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(dict(MONO_CFG, seed=3))
+    assert sweep(dict(MONO_CFG, seed=3), seed=4).rows == sweep(MONO_CFG, seed=4).rows
+
+
+@pytest.mark.parametrize("clock", ["equal_superposition", "random"])
+def test_sweep_energy_scales_are_a_units_check(clock):
+    # H -> lam H scales F and <E^2> by lam^2 and every reciprocal by 1/lam^2
+    cfg = dict(COPY_CFG, samples=1, clock=clock, energy_scales=[0.5, 1.0, 3.0])
+    rows = {row["energy_scale"]: row for row in sweep(cfg, seed=1).rows}
+    base = rows[1.0]
+    assert base["f1"] > 1e-3 and base["f2"] > 1e-3
+    for lam, row in rows.items():
+        for key in ("f_in", "f1", "e2"):
+            assert row[key] / lam**2 == pytest.approx(base[key], rel=1e-9)
+        assert row["margin"] * lam**2 == pytest.approx(base["margin"], rel=1e-9)
+
+
 def test_sweep_random_clock_copy_bound():
     cfg = dict(COPY_CFG, clock="random", samples=5)
     result = sweep(cfg, seed=11)

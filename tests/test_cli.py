@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -11,8 +12,12 @@ import pytest
 
 from qclock import cli, fileio
 from qclock import (
+    ClockSystem,
+    DensityMatrix,
+    QuantumChannel,
     common_invariant_decomposition,
     equal_superposition_clock,
+    is_covariant,
     ladder_hamiltonian,
     random_channel,
     random_density,
@@ -245,6 +250,31 @@ def test_copy_bound_noncovariant_exits_2(tmp_path):
     assert "covariant_twirl" in doc["message"]
 
 
+def test_copy_bound_gate_agrees_with_check_channel(tmp_path):
+    # a residual of ~3e-9 sits between 1e-9 and 1e-8: both commands must call it not covariant
+    clock = equal_superposition_clock(3, 1.0)
+    h = ladder_hamiltonian(2, 1.0)
+    h_total = total_hamiltonian(h, h)
+    raw = random_channel(3, 4, 2, seed=12)
+    twirled = covariant_twirl(raw, clock.hamiltonian, h_total)
+    eps = 3e-9 / is_covariant(raw, clock.hamiltonian, h_total).residual
+    mixed = QuantumChannel(3, 4, (1 - eps) * twirled.choi + eps * raw.choi)
+    assert 2e-9 < is_covariant(mixed, clock.hamiltonian, h_total).residual < 4e-9
+    clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
+    ch_path = write_json(tmp_path / "mixed.json", fileio.channel_to_json(mixed))
+    h_path = write_json(tmp_path / "h.json", fileio.matrix_to_json(h.entries))
+    hin_path = write_json(tmp_path / "hin.json", fileio.matrix_to_json(clock.hamiltonian.entries))
+    htot_path = write_json(tmp_path / "htot.json", fileio.matrix_to_json(h_total.entries))
+
+    code, out = run_cli(["check-channel", "--channel", ch_path, "--hamiltonian-in", hin_path, "--hamiltonian-out", htot_path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and not doc["covariance"]["is_covariant"]
+    code, out = run_cli(["copy-bound", "--clock", clock_path, "--channel", ch_path, "--hamiltonian-one", h_path, "--hamiltonian-two", h_path])
+    assert code == 2
+    assert json.loads(out)["code"] == "precondition"
+
+
 def test_monotonicity_non_cp_map_exits_2(tmp_path, non_cp_coherence_map):
     clock, channel, h = non_cp_coherence_map
     clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
@@ -264,6 +294,33 @@ def test_invalid_matrix_exits_2(tmp_path):
     code, out = run_cli(["qfi", "--clock", clock_path])
     assert code == 2
     assert json.loads(out)["code"] == "invalid-matrix"
+
+
+def test_non_finite_clock_file_exits_2(tmp_path):
+    # json.load accepts NaN, so the matrix check must reject it
+    clock_path = tmp_path / "nan.json"
+    state = {"dim": 2, "re": [[0.5, math.nan], [math.nan, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    clock_path.write_text(json.dumps({"state": state, "hamiltonian": fileio.matrix_to_json(np.diag([0.0, 1.0]))}))
+    for command in ("qfi", "moments"):
+        code, out = run_cli([command, "--clock", str(clock_path)])
+        assert code == 2
+        assert json.loads(out)["code"] == "invalid-matrix"
+
+
+def test_reused_parser_leaks_no_state_between_runs(tmp_path):
+    # pair sums of 3e-7 lie between the default SLD cutoff and 1e-6
+    rho = random_density(3, 3, seed=13).entries
+    _, vecs = np.linalg.eigh(rho)
+    rho = (vecs * [1e-7, 2e-7, 1 - 3e-7]) @ vecs.conj().T
+    clock = ClockSystem(DensityMatrix(rho), ladder_hamiltonian(3, 1.0))
+    clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
+    cli._build_parser.cache_clear()
+    first = run_cli(["qfi", "--clock", clock_path])
+    cut = run_cli(["qfi", "--clock", clock_path, "--cutoff", "1e-6"])
+    again = run_cli(["qfi", "--clock", clock_path])
+    assert first[0] == cut[0] == 0
+    assert cut != first
+    assert again == first
 
 
 def test_unknown_flag_exits_64(plus_clock_file, capsys):

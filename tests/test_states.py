@@ -7,6 +7,7 @@ from qclock import (
     DimensionMismatchError,
     DomainError,
     Hamiltonian,
+    QuantumChannel,
     ValidationError,
     energy_moments,
     equal_superposition_clock,
@@ -47,6 +48,20 @@ def test_density_matrix_symmetrizes_float_noise():
     rho = np.array([[0.5, 0.5 + 1e-14j], [0.5 - 1e-14j, 0.5]])
     dm = DensityMatrix(rho)
     assert np.abs(dm.entries - dm.entries.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [DensityMatrix, Hamiltonian, lambda m: QuantumChannel(1, 2, m)],
+    ids=["density", "hamiltonian", "channel"],
+)
+def test_constructors_reject_non_finite_entries(build, bad):
+    # NaN compares False with any tolerance, so the Hermitian check must not pass it
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        build(mat)
 
 
 def test_hamiltonian_reconstructs_from_cached_decomposition():

@@ -30,12 +30,13 @@ check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channels import (
-    DEFAULT_COVARIANCE_TOL,
+    COVARIANCE_TOL,
     QuantumChannel,
     apply_channel,
     covariant_twirl,
@@ -45,7 +46,7 @@ from .channels import (
     validate_cptp,
 )
 from .errors import ConfigError, DimensionMismatchError, PreconditionError
-from .fisher import qfi
+from .fisher import F_FLOOR, qfi, time_uncertainty
 from .states import (
     ClockSystem,
     Hamiltonian,
@@ -54,7 +55,6 @@ from .states import (
     random_density,
 )
 
-F_FLOOR = 1e-12
 MARGIN_TOL = 1e-8
 
 
@@ -115,7 +115,7 @@ def _require_covariant_process(
     if not cov.is_covariant:
         raise PreconditionError(
             f"channel is not covariant (residual {cov.residual:.3e} "
-            f"> {DEFAULT_COVARIANCE_TOL:.1e}); apply covariant_twirl first"
+            f"> {COVARIANCE_TOL:.1e}); apply covariant_twirl first"
         )
     return cov.residual
 
@@ -130,8 +130,8 @@ def copy_bound_check(
 
     The broadcast must be CPTP and covariant for (H, H1 (x) 1 + 1 (x) H2);
     other maps raise PreconditionError (project them with covariant_twirl
-    first).  Reciprocals of timing informations below 1e-12 are reported as
-    infinite.
+    first).  Reciprocals of timing informations at or below ``F_FLOOR`` are
+    reported as infinite.
     """
     h_total = total_hamiltonian(h1, h2)
     residual = _require_covariant_process(clock, broadcast, h_total)
@@ -183,14 +183,10 @@ def time_uncertainty_check(report: CopyBoundReport) -> UncertaintyReport:
     uncertainty.  Since dt^2 = 1/F, the inequality's two sides and verdict are
     the copy bound's own, and are taken from the report.
     """
-
-    def uncertainty(f: float) -> float:
-        return math.inf if f <= F_FLOOR else 1.0 / math.sqrt(f)
-
     return UncertaintyReport(
-        dt_in=uncertainty(report.f_in),
-        dt1=uncertainty(report.f1),
-        dt2=uncertainty(report.f2),
+        dt_in=time_uncertainty(report.f_in),
+        dt1=time_uncertainty(report.f1),
+        dt2=time_uncertainty(report.f2),
         lhs=report.lhs,
         rhs=report.rhs,
         satisfied=report.satisfied,
@@ -264,22 +260,33 @@ class SweepResult:
     summary: dict
 
 
-def _require(config: dict, field: str, kind, minimum=None):
-    if field not in config:
-        raise ConfigError(f"sweep config is missing required field '{field}'")
-    value = config[field]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"sweep config field '{field}' must be {kind.__name__}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"sweep config field '{field}' must be >= {minimum}, got {value!r}")
-    return value
+_REQUIRED = object()
+# kind -> (accepted types, range check, description); bool is never a number
+_KINDS = {
+    int: (int, lambda v: v >= 1, "an integer >= 1"),
+    float: ((int, float), lambda v: 0 < v <= sys.float_info.max, "a finite number > 0"),
+    str: (str, lambda v: True, "a string"),
+    list: ((list, tuple), lambda v: len(v) > 0, "a non-empty list"),
+}
 
 
-def _optional(config: dict, field: str, default, choices=None):
-    value = config.get(field, default)
+def _checked(field: str, value, kind, choices=None):
+    """Check one sweep-config value's type, range and choices; ``float`` values come back as float."""
+    types, in_range, description = _KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) or not in_range(value):
+        raise ConfigError(f"sweep config field '{field}' must be {description}, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"sweep config field '{field}' must be one of {choices}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
+
+
+def _field(config: dict, field: str, kind, default=_REQUIRED, choices=None):
+    """Read and check one sweep-config field; a missing field takes ``default``, if it has one."""
+    if field in config:
+        return _checked(field, config[field], kind, choices)
+    if default is _REQUIRED:
+        raise ConfigError(f"sweep config is missing required field '{field}'")
+    return default
 
 
 def _row(report, **columns) -> dict:
@@ -356,11 +363,9 @@ def _monotonicity_sample(config: dict, base_seed: int, index: int) -> list:
 def _normalize_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("sweep config must be a JSON object")
-    experiment = _optional(config, "experiment", None, choices=("copy_bound", "monotonicity"))
-    if experiment is None:
-        raise ConfigError("sweep config is missing required field 'experiment'")
+    experiment = _field(config, "experiment", str, choices=("copy_bound", "monotonicity"))
     out = {"experiment": experiment}
-    out["samples"] = _require(config, "samples", int, minimum=1)
+    out["samples"] = _field(config, "samples", int)
     hamiltonians = config.get("hamiltonians", "ladder")
     if hamiltonians != "ladder":
         raise ConfigError(
@@ -369,22 +374,20 @@ def _normalize_config(config: dict) -> dict:
             "and each row would have F1 = F2 = 0"
         )
     if experiment == "copy_bound":
-        out["dim_in"] = _require(config, "dim_in", int, minimum=1)
-        out["dim_out1"] = _require(config, "dim_out1", int, minimum=1)
-        out["dim_out2"] = _require(config, "dim_out2", int, minimum=1)
-        out["kraus_rank"] = _optional(config, "kraus_rank", 2)
-        out["clock"] = _optional(
-            config, "clock", "equal_superposition", choices=("equal_superposition", "random")
+        out["dim_in"] = _field(config, "dim_in", int)
+        out["dim_out1"] = _field(config, "dim_out1", int)
+        out["dim_out2"] = _field(config, "dim_out2", int)
+        out["kraus_rank"] = _field(config, "kraus_rank", int, 2)
+        out["clock"] = _field(
+            config, "clock", str, "equal_superposition", choices=("equal_superposition", "random")
         )
-        out["energy_quantum"] = float(_optional(config, "energy_quantum", 1.0))
-        scales = _optional(config, "energy_scales", [1.0])
-        if not isinstance(scales, (list, tuple)) or not scales:
-            raise ConfigError("sweep config field 'energy_scales' must be a non-empty list")
-        out["energy_scales"] = [float(s) for s in scales]
+        out["energy_quantum"] = _field(config, "energy_quantum", float, 1.0)
+        scales = _field(config, "energy_scales", list, [1.0])
+        out["energy_scales"] = [_checked("energy_scales", s, float) for s in scales]
     else:
-        out["dim"] = _require(config, "dim", int, minimum=1)
-        out["dim_out"] = _optional(config, "dim_out", out["dim"])
-        out["kraus_rank"] = _optional(config, "kraus_rank", 2)
+        out["dim"] = _field(config, "dim", int)
+        out["dim_out"] = _field(config, "dim_out", int, out["dim"])
+        out["kraus_rank"] = _field(config, "kraus_rank", int, 2)
     return out
 
 

@@ -54,6 +54,15 @@ in the computational basis (ladders and their sums) those zeros sit in
 at most 16 x 16.  A dense Choi matrix is one component and takes the same
 path.  A stray tiny entry can only merge components, which costs time but
 never changes the spectrum that is computed.
+
+Tolerances
+----------
+Three constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
+violations and is also the Kraus eigenvalue cutoff, ``COVARIANCE_TOL`` bounds
+the covariance residual, and ``FREQ_TOL`` is the largest gap inside one
+Bohr-frequency class of the twirl.  No function takes a tolerance, so a
+channel gets the same verdict from every caller; the reports carry the raw
+violations and residual for anyone who needs another threshold.
 """
 from __future__ import annotations
 
@@ -64,9 +73,9 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .states import DensityMatrix, Hamiltonian, _hermitize, _split_at_gaps
 
-DEFAULT_CPTP_TOL = 1e-9
-DEFAULT_COVARIANCE_TOL = 1e-9
-DEFAULT_FREQ_TOL = 1e-9
+CPTP_TOL = 1e-9
+COVARIANCE_TOL = 1e-9
+FREQ_TOL = 1e-9
 
 
 class QuantumChannel:
@@ -165,11 +174,12 @@ def _choi_blocks(choi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return stacks
 
 
-def validate_cptp(channel: QuantumChannel, tol: float = DEFAULT_CPTP_TOL) -> CptpReport:
+def validate_cptp(channel: QuantumChannel) -> CptpReport:
     """Measure how far the channel is from completely positive and trace preserving.
 
     The smallest Choi eigenvalue is taken over the decoupled blocks, whose
-    spectra together are exactly the spectrum of the Choi matrix.
+    spectra together are exactly the spectrum of the Choi matrix.  ``ok``
+    holds when both violations stay within ``CPTP_TOL``.
     """
     stacks = _choi_blocks(channel.choi)
     min_eig = min(float(np.linalg.eigvalsh(blocks)[:, 0].min()) for _, blocks in stacks)
@@ -179,7 +189,7 @@ def validate_cptp(channel: QuantumChannel, tol: float = DEFAULT_CPTP_TOL) -> Cpt
     return CptpReport(
         cp_violation,
         tp_violation,
-        ok=cp_violation <= tol and tp_violation <= tol,
+        ok=cp_violation <= CPTP_TOL and tp_violation <= CPTP_TOL,
         largest_block=int(stacks[-1][0].shape[1]),
     )
 
@@ -219,24 +229,19 @@ def _check_hamiltonian_dims(channel: QuantumChannel, h_in: Hamiltonian, h_out: H
         )
 
 
-def is_covariant(
-    channel: QuantumChannel,
-    h_in: Hamiltonian,
-    h_out: Hamiltonian,
-    tol: float = DEFAULT_COVARIANCE_TOL,
-) -> CovarianceReport:
+def is_covariant(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> CovarianceReport:
     """Measure the Choi-form covariance condition [K, C] = 0, K = 1 (x) H_out - H_in^T (x) 1.
 
     The residual is the max-abs entry of that commutator, which is the
     largest max-abs entry of G(i[H_in, E_ij]) - i[H_out, G(E_ij)] over all
     matrix units E_ij; the channel is reported covariant when it stays within
-    ``tol``.  With K and C Hermitian, C K = (K C)†, so one product suffices.
+    ``COVARIANCE_TOL``.  With K and C Hermitian, C K = (K C)†, so one product suffices.
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
     c = channel.choi
     kc = _kron_rows(None, h_out.entries, c) - _kron_rows(h_in.entries.T, None, c)
     residual = float(np.abs(kc - kc.conj().T).max())
-    return CovarianceReport(residual=residual, is_covariant=residual <= tol)
+    return CovarianceReport(residual=residual, is_covariant=residual <= COVARIANCE_TOL)
 
 
 def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
@@ -253,17 +258,12 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
     return classes
 
 
-def covariant_twirl(
-    channel: QuantumChannel,
-    h_in: Hamiltonian,
-    h_out: Hamiltonian,
-    freq_tol: float = DEFAULT_FREQ_TOL,
-) -> QuantumChannel:
+def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> QuantumChannel:
     """Project the channel onto the covariant ones for (h_in, h_out).
 
     In the tensor basis of the Hamiltonian eigenvectors every Choi entry
     carries a frequency mismatch (E_out_a - E_out_b) - (E_in_i - E_in_j);
-    entries whose mismatch exceeds ``freq_tol`` are zeroed.  The input factor
+    entries whose mismatch exceeds ``FREQ_TOL`` are zeroed.  The input factor
     uses the conjugated eigenbasis because the channel acts on the input index
     through a transpose.
     """
@@ -273,7 +273,7 @@ def covariant_twirl(
     c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
     # nu[i*dout + a] = E_out[a] - E_in[i]; mismatch of entry (r, c) is nu[r] - nu[c]
     nu = (h_out.eigenvalues[None, :] - h_in.eigenvalues[:, None]).reshape(-1)
-    classes = _frequency_classes(nu, freq_tol)
+    classes = _frequency_classes(nu, FREQ_TOL)
     mask = classes[:, None] == classes[None, :]
     twirled = _kron_sandwich(u_in.conj(), u_out, c_eig * mask)
     return QuantumChannel(channel.dim_in, channel.dim_out, twirled)
@@ -318,8 +318,8 @@ def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
     return QuantumChannel(dim_in, dim_out, vecs.T @ vecs.conj())
 
 
-def kraus_operators(channel: QuantumChannel, tol: float = 1e-9) -> list[np.ndarray]:
-    """Kraus decomposition from the Choi eigendecomposition (eigenvalues > tol kept).
+def kraus_operators(channel: QuantumChannel) -> list[np.ndarray]:
+    """Kraus decomposition from the Choi eigendecomposition (eigenvalues > CPTP_TOL kept).
 
     Each decoupled Choi block is diagonalised on its own and its eigenvectors
     are embedded at the block's indices; operators come in ascending
@@ -341,7 +341,7 @@ def kraus_operators(channel: QuantumChannel, tol: float = 1e-9) -> list[np.ndarr
     return [
         np.sqrt(lam) * vec.reshape(channel.dim_in, channel.dim_out).T
         for lam, vec in zip(eigs[order], vecs[order])
-        if lam > tol
+        if lam > CPTP_TOL
     ]
 
 

@@ -32,23 +32,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qclock", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--output", help="write the result document to this path")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("qfi", "quantum Fisher timing information of a clock")
+    p = add("qfi", _cmd_qfi, "quantum Fisher timing information of a clock")
     p.add_argument("--clock", required=True)
-    p.add_argument("--cutoff", type=float, default=fisher.DEFAULT_SLD_CUTOFF)
 
-    p = add("evolve", "conjugate the clock state by exp(-iHt)")
+    p = add("evolve", _cmd_evolve, "conjugate the clock state by exp(-iHt)")
     p.add_argument("--clock", required=True)
     p.add_argument("--time", type=float, required=True)
 
-    p = add("moments", "energy mean, second moment, and spread of a clock")
+    p = add("moments", _cmd_moments, "energy mean, second moment, and spread of a clock")
     p.add_argument("--clock", required=True)
 
-    p = add("make-state", "construct named clock states")
+    p = add("make-state", _cmd_make_state, "construct named clock states")
     p.add_argument(
         "--kind",
         required=True,
@@ -63,48 +63,46 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=int)
     p.add_argument("--seed", type=int)
 
-    p = add("check-channel", "CPTP (and optionally covariance) validation")
+    p = add("check-channel", _cmd_check_channel, "CPTP (and optionally covariance) validation")
     p.add_argument("--channel", required=True)
-    p.add_argument("--tol", type=float, default=channels.DEFAULT_CPTP_TOL)
     p.add_argument("--hamiltonian-in")
     p.add_argument("--hamiltonian-out")
 
-    p = add("twirl", "project a channel onto the covariant ones")
+    p = add("twirl", _cmd_twirl, "project a channel onto the covariant ones")
     p.add_argument("--channel", required=True)
     p.add_argument("--hamiltonian-in", required=True)
     p.add_argument("--hamiltonian-out", required=True)
-    p.add_argument("--freq-tol", type=float, default=channels.DEFAULT_FREQ_TOL)
 
-    p = add("apply", "apply a channel to a state")
+    p = add("apply", _cmd_apply, "apply a channel to a state")
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True)
 
-    p = add("decompose", "common invariant subspaces and block traces of two states")
+    p = add("decompose", _cmd_decompose, "common invariant subspaces and block traces of two states")
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=distinguish.DEFAULT_DISTINGUISH_TOL)
 
-    p = add("broadcastable", "pairwise commutativity of a state family")
+    p = add("broadcastable", _cmd_broadcastable, "pairwise commutativity of a state family")
     p.add_argument("--states", nargs="+", required=True)
     p.add_argument("--tol", type=float, default=distinguish.DEFAULT_COMMUTE_TOL)
 
-    p = add("orthogonal-times", "mutually orthogonal times of the equal-superposition clock")
+    p = add("orthogonal-times", _cmd_orthogonal_times, "mutually orthogonal times of the equal-superposition clock")
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--quantum", type=float, required=True)
 
-    p = add("copy-bound", "copy bound for one clock and one broadcast channel")
+    p = add("copy-bound", _cmd_copy_bound, "copy bound for one clock and one broadcast channel")
     p.add_argument("--clock", required=True)
     p.add_argument("--channel", required=True)
     p.add_argument("--hamiltonian-one", required=True)
     p.add_argument("--hamiltonian-two", required=True)
 
-    p = add("monotonicity", "clock-quality monotonicity under a covariant channel")
+    p = add("monotonicity", _cmd_monotonicity, "clock-quality monotonicity under a covariant channel")
     p.add_argument("--clock", required=True)
     p.add_argument("--channel", required=True)
     p.add_argument("--hamiltonian-out", required=True)
 
-    p = add("sweep", "seeded Monte-Carlo sweep of copy-bound or monotonicity checks")
+    p = add("sweep", _cmd_sweep, "seeded Monte-Carlo sweep of copy-bound or monotonicity checks")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"])
@@ -127,7 +125,7 @@ def _clock(path: str) -> states.ClockSystem:
 
 
 def _cmd_qfi(args) -> dict:
-    result = fisher.qfi(_clock(args.clock), cutoff=args.cutoff)
+    result = fisher.qfi(_clock(args.clock))
     return {
         "fisher_info": result.fisher_info,
         "kernel_dim": result.kernel_dim,
@@ -172,7 +170,7 @@ def _cmd_make_state(args) -> dict:
 
 def _cmd_check_channel(args) -> dict:
     channel = fileio.channel_from_json(_read_json(args.channel))
-    report = channels.validate_cptp(channel, tol=args.tol)
+    report = channels.validate_cptp(channel)
     doc = {
         "cp_violation": report.cp_violation,
         "tp_violation": report.tp_violation,
@@ -195,7 +193,6 @@ def _cmd_twirl(args) -> dict:
         fileio.channel_from_json(_read_json(args.channel)),
         fileio.hamiltonian_from_json(_read_json(args.hamiltonian_in)),
         fileio.hamiltonian_from_json(_read_json(args.hamiltonian_out)),
-        freq_tol=args.freq_tol,
     )
     return fileio.channel_to_json(twirled)
 
@@ -277,23 +274,6 @@ def _cmd_sweep(args):
     return fileio.sweep_to_json(result)
 
 
-_DISPATCH = {
-    "qfi": _cmd_qfi,
-    "evolve": _cmd_evolve,
-    "moments": _cmd_moments,
-    "make-state": _cmd_make_state,
-    "check-channel": _cmd_check_channel,
-    "twirl": _cmd_twirl,
-    "apply": _cmd_apply,
-    "decompose": _cmd_decompose,
-    "broadcastable": _cmd_broadcastable,
-    "orthogonal-times": _cmd_orthogonal_times,
-    "copy-bound": _cmd_copy_bound,
-    "monotonicity": _cmd_monotonicity,
-    "sweep": _cmd_sweep,
-}
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -309,7 +289,7 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 64
     try:
-        doc = _DISPATCH[args.command](args)
+        doc = args.handler(args)
     except ClockError as exc:
         error_doc = {"code": exc.code, "message": exc.message, "detail": exc.detail}
         sys.stdout.write(fileio.dumps(error_doc))

@@ -10,9 +10,16 @@ rank-deficient states.  A variational characterization,
 is implemented as an independent cross-check: the supremum is attained at the
 symmetric logarithmic derivative, which the search always includes as one
 restart.
+
+Two constants fix the numerical conventions: eigenvalue pairs with
+p_k + p_l <= ``SLD_CUTOFF`` form the kernel of the pseudo-inverse, and timing
+information at or below ``F_FLOOR`` counts as zero, that is as unbounded time
+uncertainty.  Neither can be overridden, so every check of the same state
+reports the same F.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +28,8 @@ import numpy as np
 from .errors import DomainError, SupportError, ValidationError
 from .states import ClockSystem
 
-DEFAULT_SLD_CUTOFF = 1e-12
+SLD_CUTOFF = 1e-12
+F_FLOOR = 1e-12
 PROB_FLOOR = 1e-300
 MOVED_MASS_TOL = 1e-12
 
@@ -42,18 +50,19 @@ class SldResult:
     kernel_dim: int
 
 
-def qfi(clock: ClockSystem, cutoff: float = DEFAULT_SLD_CUTOFF) -> SldResult:
+def qfi(clock: ClockSystem) -> SldResult:
     """Quantum Fisher timing information via the SLD pseudo-inverse formula.
 
     In the eigenbasis of rho with eigenvalues p_k the SLD has entries
-    L_kl = 2 rho_dot_kl / (p_k + p_l) wherever p_k + p_l > cutoff (zero
-    elsewhere), and F = sum 2 |rho_dot_kl|^2 / (p_k + p_l) over the kept pairs.
+    L_kl = 2 rho_dot_kl / (p_k + p_l) wherever p_k + p_l > ``SLD_CUTOFF``
+    (zero elsewhere), and F = sum 2 |rho_dot_kl|^2 / (p_k + p_l) over the kept
+    pairs.
     """
     rdot = rho_dot(clock)
     p, v = np.linalg.eigh(clock.state.entries)
     r_eig = v.conj().T @ rdot @ v
     denom = p[:, None] + p[None, :]
-    keep = denom > cutoff
+    keep = denom > SLD_CUTOFF
     l_eig = np.zeros_like(r_eig)
     l_eig[keep] = 2.0 * r_eig[keep] / denom[keep]
     fisher = float(np.sum(2.0 * np.abs(r_eig[keep]) ** 2 / denom[keep]))
@@ -260,9 +269,11 @@ def classical_fisher(family: ClassicalSignalFamily, t: float, dt: float = 1e-4) 
 
 
 def time_uncertainty(fisher_info: float) -> float:
-    """Best achievable standard deviation 1/sqrt(F) for estimating the time."""
-    if not (fisher_info > 0):
-        raise DomainError(
-            f"unbounded uncertainty: Fisher information must be positive, got {fisher_info!r}"
-        )
-    return float(1.0 / np.sqrt(fisher_info))
+    """Best achievable standard deviation 1/sqrt(F) for estimating the time.
+
+    Information at or below ``F_FLOOR`` gives unbounded uncertainty (inf);
+    negative or NaN information is not a Fisher information and raises.
+    """
+    if not (fisher_info >= 0):
+        raise DomainError(f"Fisher information must be nonnegative, got {fisher_info!r}")
+    return math.inf if fisher_info <= F_FLOOR else 1.0 / math.sqrt(fisher_info)

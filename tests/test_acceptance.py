@@ -125,9 +125,9 @@ def test_criterion_4_covariance_machinery():
             raw = random_channel(din, dout, rank, seed=3000 + i)
             twirled = covariant_twirl(raw, h_in, h_out)
 
-            report = validate_cptp(twirled, tol=1e-9)
+            report = validate_cptp(twirled)
             assert report.ok, (i, report)
-            cov = is_covariant(twirled, h_in, h_out, tol=1e-9)
+            cov = is_covariant(twirled, h_in, h_out)
             assert cov.is_covariant, (i, cov.residual)
 
             again = covariant_twirl(twirled, h_in, h_out)

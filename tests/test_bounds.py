@@ -358,6 +358,45 @@ def test_sweep_config_errors_name_the_field():
         sweep(MONO_CFG)
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        (dict(COPY_CFG, energy_scales=[0]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=[-1.0]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=[math.inf]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=["a"]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=[True]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=[]), "energy_scales"),
+        (dict(COPY_CFG, energy_scales=1.0), "energy_scales"),
+        (dict(COPY_CFG, energy_quantum=0), "energy_quantum"),
+        (dict(COPY_CFG, clock="random", energy_quantum=0), "energy_quantum"),
+        (dict(COPY_CFG, energy_quantum=math.nan), "energy_quantum"),
+        (dict(COPY_CFG, energy_quantum=10**400), "energy_quantum"),
+        (dict(COPY_CFG, energy_quantum="x"), "energy_quantum"),
+        (dict(COPY_CFG, kraus_rank="2"), "kraus_rank"),
+        (dict(COPY_CFG, kraus_rank=True), "kraus_rank"),
+        (dict(COPY_CFG, kraus_rank=0), "kraus_rank"),
+        (dict(COPY_CFG, clock="gaussian"), "clock"),
+        (dict(MONO_CFG, dim_out="3"), "dim_out"),
+        (dict(MONO_CFG, dim_out=0), "dim_out"),
+        (dict(MONO_CFG, kraus_rank=1.5), "kraus_rank"),
+        (dict(MONO_CFG, experiment=["monotonicity"]), "experiment"),
+    ],
+)
+def test_sweep_config_rejects_bad_values_by_field(cfg, field):
+    # a zero energy would give rows with F1 = 0 that all "satisfy" the bound
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        sweep(cfg, seed=1)
+
+
+def test_sweep_config_accepts_integer_energies():
+    cfg = dict(COPY_CFG, samples=1, energy_quantum=1, energy_scales=[0.5, 1, 2])
+    rows = sweep(cfg, seed=1).rows
+    assert [row["energy_scale"] for row in rows] == [0.5, 1.0, 2.0]
+    assert all(type(row["energy_scale"]) is float for row in rows)
+    assert rows == sweep(dict(cfg, energy_quantum=1.0, energy_scales=[0.5, 1.0, 2.0]), seed=1).rows
+
+
 @pytest.mark.parametrize("cfg", [COPY_CFG, MONO_CFG])
 def test_sweep_rejects_random_hamiltonians(cfg):
     # generic spectra share no Bohr frequencies: every twirled row would have F1 = 0

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -10,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclock import cli, fileio
+from qclock import bounds, cli, fileio
 from qclock import (
     ClockSystem,
     DensityMatrix,
     QuantumChannel,
     common_invariant_decomposition,
     equal_superposition_clock,
+    identity_channel,
     is_covariant,
     ladder_hamiltonian,
     random_channel,
@@ -308,19 +310,75 @@ def test_non_finite_clock_file_exits_2(tmp_path):
 
 
 def test_reused_parser_leaks_no_state_between_runs(tmp_path):
-    # pair sums of 3e-7 lie between the default SLD cutoff and 1e-6
+    # a commutator of 4e-9 lies between the default commute tolerance and 1e-6
+    a = write_json(tmp_path / "a.json", fileio.matrix_to_json(np.diag([0.7, 0.3])))
+    b = write_json(tmp_path / "b.json", fileio.matrix_to_json(np.array([[0.5, 1e-8], [1e-8, 0.5]])))
+    cli._build_parser.cache_clear()
+    first = run_cli(["broadcastable", "--states", a, b])
+    loose = run_cli(["broadcastable", "--states", a, b, "--tol", "1e-6"])
+    again = run_cli(["broadcastable", "--states", a, b])
+    assert first[0] == loose[0] == 0
+    assert not json.loads(first[1])["commuting"] and json.loads(loose[1])["commuting"]
+    assert again == first
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("qfi", "--cutoff"), ("check-channel", "--tol"), ("twirl", "--freq-tol")],
+)
+def test_tolerance_flags_do_not_exist(tmp_path, plus_clock_file, command, flag):
+    # the bound checks' thresholds are constants, so no subcommand can re-decide them
+    ch = write_json(tmp_path / "ch.json", fileio.channel_to_json(random_channel(2, 2, 2, seed=3)))
+    h = write_json(tmp_path / "h.json", fileio.matrix_to_json(np.diag([0.0, 1.0])))
+    argv = {
+        "qfi": ["qfi", "--clock", plus_clock_file],
+        "check-channel": ["check-channel", "--channel", ch],
+        "twirl": ["twirl", "--channel", ch, "--hamiltonian-in", h, "--hamiltonian-out", h],
+    }[command]
+    assert run_cli(argv)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv + [flag, "1e-6"])
+    assert info.value.code == 64
+    assert flag not in _subcommands()[command].format_help()
+
+
+def test_check_channel_and_monotonicity_agree_on_a_barely_non_cp_map(tmp_path, non_cp_coherence_map):
+    # weight 2e-7 of the non-CP map leaves a cp violation of 4e-8, above the CPTP tolerance
+    clock, channel, h = non_cp_coherence_map
+    eps = 2e-7
+    mixed = QuantumChannel(3, 3, (1 - eps) * identity_channel(3).choi + eps * channel.choi)
+    clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
+    ch_path = write_json(tmp_path / "mixed.json", fileio.channel_to_json(mixed))
+    h_path = write_json(tmp_path / "h.json", fileio.matrix_to_json(h.entries))
+    code, out = run_cli(["check-channel", "--channel", ch_path, "--hamiltonian-in", h_path, "--hamiltonian-out", h_path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["cp_violation"] == pytest.approx(4e-8, rel=1e-3)
+    assert not doc["ok"] and doc["covariance"]["is_covariant"]
+    code, out = run_cli(["monotonicity", "--clock", clock_path, "--channel", ch_path, "--hamiltonian-out", h_path])
+    assert code == 2
+    assert "not CPTP" in json.loads(out)["message"]
+
+
+def test_qfi_and_monotonicity_report_the_same_information(tmp_path):
+    # pair sums of 3e-7 sit just above the SLD cutoff, where a different cutoff would change F
     rho = random_density(3, 3, seed=13).entries
     _, vecs = np.linalg.eigh(rho)
     rho = (vecs * [1e-7, 2e-7, 1 - 3e-7]) @ vecs.conj().T
     clock = ClockSystem(DensityMatrix(rho), ladder_hamiltonian(3, 1.0))
     clock_path = write_json(tmp_path / "clock.json", fileio.clock_to_json(clock))
-    cli._build_parser.cache_clear()
-    first = run_cli(["qfi", "--clock", clock_path])
-    cut = run_cli(["qfi", "--clock", clock_path, "--cutoff", "1e-6"])
-    again = run_cli(["qfi", "--clock", clock_path])
-    assert first[0] == cut[0] == 0
-    assert cut != first
-    assert again == first
+    ch_path = write_json(tmp_path / "id.json", fileio.channel_to_json(identity_channel(3)))
+    h_path = write_json(tmp_path / "h.json", fileio.matrix_to_json(clock.hamiltonian.entries))
+    code, qfi_out = run_cli(["qfi", "--clock", clock_path])
+    assert code == 0
+    code, mono_out = run_cli(["monotonicity", "--clock", clock_path, "--channel", ch_path, "--hamiltonian-out", h_path])
+    assert code == 0
+    assert json.loads(qfi_out)["fisher_info"] == json.loads(mono_out)["f_in"]
 
 
 def test_unknown_flag_exits_64(plus_clock_file, capsys):
@@ -360,6 +418,24 @@ def test_sweep_workers_flag_is_a_usage_error(tmp_path):
     assert info.value.code == 64
 
 
+@pytest.mark.parametrize("field, value", [("kraus_rank", "2"), ("energy_scales", ["a"]), ("energy_quantum", "x")])
+def test_sweep_bad_config_value_exits_2(tmp_path, field, value):
+    cfg = {"experiment": "copy_bound", "samples": 1, "dim_in": 2, "dim_out1": 2, "dim_out2": 2, field: value}
+    code, out = run_cli(["sweep", "--config", write_json(tmp_path / "cfg.json", cfg), "--seed", "1"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["code"] == "config" and f"'{field}'" in doc["message"]
+
+
+def test_readme_sweep_configs_are_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]
+    configs = [json.loads(b) for b in blocks if '"experiment"' in b]
+    assert [cfg["experiment"] for cfg in configs] == ["copy_bound", "monotonicity"]
+    for cfg in configs:
+        bounds._normalize_config(cfg)
+
+
 def test_sweep_json_format_on_stdout(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "monotonicity", "samples": 3, "dim": 2})
     code, out = run_cli(["sweep", "--config", cfg, "--seed", "2", "--format", "json"])
@@ -372,7 +448,7 @@ def test_readme_cli_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = [line for line in readme.splitlines() if line.startswith("qclock ")]
     parser = cli._build_parser()
-    assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == set(cli._DISPATCH)
+    assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == set(_subcommands())
 
 
 def test_console_entry_point_runs_in_subprocess(plus_clock_file):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qclock import (
     time_uncertainty,
     variational_qfi,
 )
+from qclock.fisher import F_FLOOR
 
 
 def plus_clock():
@@ -226,8 +229,12 @@ def test_classical_fisher_support_error():
 def test_time_uncertainty_values():
     assert time_uncertainty(4.0) == pytest.approx(0.5)
     assert time_uncertainty(1.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        time_uncertainty(0.0)
+    # at or below F_FLOOR the clock carries no timing information
+    assert time_uncertainty(0.0) == math.inf
+    assert time_uncertainty(F_FLOOR) == math.inf
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            time_uncertainty(bad)
 
 
 def test_time_uncertainty_of_gaussian_clock_is_half_inverse_spread():

@@ -65,7 +65,6 @@ from .fisher import (
     moving_gaussian_family,
     qfi,
     rho_dot,
-    tabulated_family,
     time_uncertainty,
     variational_qfi,
 )

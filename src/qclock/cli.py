@@ -81,11 +81,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=distinguish.DEFAULT_DISTINGUISH_TOL)
 
     p = add("broadcastable", _cmd_broadcastable, "pairwise commutativity of a state family")
     p.add_argument("--states", nargs="+", required=True)
-    p.add_argument("--tol", type=float, default=distinguish.DEFAULT_COMMUTE_TOL)
 
     p = add("orthogonal-times", _cmd_orthogonal_times, "mutually orthogonal times of the equal-superposition clock")
     p.add_argument("--levels", type=int, required=True)
@@ -161,11 +159,9 @@ def _cmd_make_state(args) -> dict:
         return fileio.clock_to_json(states.equal_superposition_clock(args.levels, args.quantum))
     if args.kind == "random-density":
         _need(args, ["dim", "rank", "seed"])
-        return {"state": fileio.matrix_to_json(states.random_density(args.dim, args.rank, args.seed).entries)}
+        return fileio.matrix_to_json(states.random_density(args.dim, args.rank, args.seed).entries)
     _need(args, ["dim", "seed"])
-    return {
-        "hamiltonian": fileio.matrix_to_json(states.random_hamiltonian(args.dim, args.seed).entries)
-    }
+    return fileio.matrix_to_json(states.random_hamiltonian(args.dim, args.seed).entries)
 
 
 def _cmd_check_channel(args) -> dict:
@@ -208,7 +204,7 @@ def _cmd_apply(args) -> dict:
 def _cmd_decompose(args) -> dict:
     rho_a = fileio.density_from_json(_read_json(args.state_a))
     rho_b = fileio.density_from_json(_read_json(args.state_b))
-    report = distinguish.common_invariant_decomposition(rho_a, rho_b, tol=args.tol, seed=args.seed)
+    report = distinguish.common_invariant_decomposition(rho_a, rho_b, seed=args.seed)
     doc = {
         "subspaces": [fileio.matrix_to_json(s) for s in report.subspaces],
         "traces_a": list(report.traces_a),
@@ -225,7 +221,7 @@ def _cmd_decompose(args) -> dict:
 def _cmd_broadcastable(args) -> dict:
     family = [fileio.density_from_json(_read_json(path)) for path in args.states]
     worst = distinguish.max_commutator(family)
-    return {"commuting": worst <= args.tol, "max_commutator": worst}
+    return {"commuting": worst <= distinguish.COMMUTE_TOL, "max_commutator": worst}
 
 
 def _cmd_orthogonal_times(args) -> dict:

@@ -30,6 +30,16 @@ For a continuously evolving clock the relevant subspaces are the spectral
 blocks of the Hamiltonian, and the block weights are conserved in time; that
 conservation is what forbids reading a clock without disturbing it, and
 :func:`conserved_block_traces` checks it numerically.
+
+Tolerances
+----------
+Two constants decide the verdicts: ``DISTINGUISH_TOL`` is the block-weight
+gap above which two states count as distinguishable, and also the level gap
+and weight drift of :func:`conserved_block_traces`; ``COMMUTE_TOL`` bounds the
+commutator entries of a broadcastable family.  No function takes a tolerance,
+so states get the same verdict from every caller; the reports carry the raw
+block traces and deviation, and :func:`max_commutator` the raw commutator,
+for anyone who needs another threshold.
 """
 from __future__ import annotations
 
@@ -47,8 +57,8 @@ GROUP_GAP_FACTOR = 1e-7
 FLAT_RTOL = 1e-12
 EIGENBASIS_MARGIN = 20.0
 MAX_REDRAWS = 5
-DEFAULT_DISTINGUISH_TOL = 1e-9
-DEFAULT_COMMUTE_TOL = 1e-10
+DISTINGUISH_TOL = 1e-9
+COMMUTE_TOL = 1e-10
 
 
 def _is_flat(w: np.ndarray) -> bool:
@@ -162,12 +172,7 @@ class DecompositionReport:
         return (proj + proj.conj().T) / 2
 
 
-def common_invariant_decomposition(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    tol: float = DEFAULT_DISTINGUISH_TOL,
-    seed=0,
-) -> DecompositionReport:
+def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, seed=0) -> DecompositionReport:
     """Decompose the space into the finest subspaces invariant under both states.
 
     A seeded random Hermitian element of the joint commutant is drawn and its
@@ -205,7 +210,7 @@ def common_invariant_decomposition(
             traces_a = np.array([float(np.real(np.trace(s.conj().T @ a @ s))) for s in subspaces])
             traces_b = np.array([float(np.real(np.trace(s.conj().T @ b @ s))) for s in subspaces])
             gaps = np.abs(traces_a - traces_b)
-            distinguishable = bool(gaps.max() > tol)
+            distinguishable = bool(gaps.max() > DISTINGUISH_TOL)
             witness = int(np.argmax(gaps)) if distinguishable else None
             return DecompositionReport(
                 subspaces=subspaces,
@@ -222,18 +227,14 @@ def common_invariant_decomposition(
     )
 
 
-def nondisturbing_distinguishable(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    tol: float = DEFAULT_DISTINGUISH_TOL,
-    seed=0,
-):
+def nondisturbing_distinguishable(rho1: DensityMatrix, rho2: DensityMatrix, seed=0):
     """Decide the criterion and, when it holds, return the witness projector.
 
     The projector commutes with both states (so measuring it disturbs
-    neither) yet has expectation values differing by more than ``tol``.
+    neither) yet has expectation values differing by more than
+    ``DISTINGUISH_TOL``.
     """
-    report = common_invariant_decomposition(rho1, rho2, tol=tol, seed=seed)
+    report = common_invariant_decomposition(rho1, rho2, seed=seed)
     return report.distinguishable, report.witness_projector()
 
 
@@ -246,14 +247,13 @@ class BlockTraceReport:
     conserved: bool
 
 
-def conserved_block_traces(
-    clock: ClockSystem, times, tol: float = DEFAULT_DISTINGUISH_TOL
-) -> BlockTraceReport:
+def conserved_block_traces(clock: ClockSystem, times) -> BlockTraceReport:
     """Verify that spectral-block weights of the state are constant along the orbit.
 
-    Blocks are eigenvalue groups of the Hamiltonian (grouped within ``tol``);
-    the deviation is the largest spread of any block weight over the supplied
-    times, and the weights count as conserved when it is at most ``tol``.
+    Blocks are eigenvalue groups of the Hamiltonian (grouped within
+    ``DISTINGUISH_TOL``); the deviation is the largest spread of any block
+    weight over the supplied times, and the weights count as conserved when it
+    is at most ``DISTINGUISH_TOL``.
     Constancy of these weights is exactly why continuous readout of a clock
     is impossible without disturbance.
     """
@@ -262,7 +262,7 @@ def conserved_block_traces(
         raise DomainError("need at least one time")
     w = clock.hamiltonian.eigenvalues
     v = clock.hamiltonian.eigenvectors
-    groups = _split_at_gaps(w, tol)
+    groups = _split_at_gaps(w, DISTINGUISH_TOL)
 
     rows = []
     for t in times:
@@ -272,7 +272,9 @@ def conserved_block_traces(
         )
     block_traces = np.array(rows)
     max_dev = float((block_traces.max(axis=0) - block_traces.min(axis=0)).max())
-    return BlockTraceReport(block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= tol)
+    return BlockTraceReport(
+        block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= DISTINGUISH_TOL
+    )
 
 
 def max_commutator(states) -> float:
@@ -286,9 +288,9 @@ def max_commutator(states) -> float:
     return max(float(np.abs(a @ b - b @ a).max()) for a, b in itertools.combinations(mats, 2))
 
 
-def pairwise_commuting(states, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
-    """True iff all pairs of states commute; the broadcastability criterion."""
-    return max_commutator(states) <= tol
+def pairwise_commuting(states) -> bool:
+    """True iff all pairs of states commute within ``COMMUTE_TOL``; the broadcastability criterion."""
+    return max_commutator(states) <= COMMUTE_TOL
 
 
 def orthogonal_times(n: int, quantum: float) -> np.ndarray:

@@ -159,10 +159,10 @@ class ClassicalSignalFamily:
             raise ValidationError(
                 f"density has {p.shape} values for {self.sample_points.shape} sample points"
             )
-        if p.min() < 0:
-            raise ValidationError(f"negative probability {p.min():.3e} at t={t!r}")
+        if not (p.min() >= 0):
+            raise ValidationError(f"negative or NaN probability {p.min():.3e} at t={t!r}")
         total = p.sum()
-        if abs(total - 1.0) > 1e-10:
+        if not (abs(total - 1.0) <= 1e-10):
             raise ValidationError(f"probabilities sum to {total!r} at t={t!r}")
         return p
 
@@ -218,31 +218,6 @@ def moving_gaussian_family(
         return z / z.sum()
 
     return ClassicalSignalFamily(x, density)
-
-
-def tabulated_family(
-    sample_points: Sequence[float],
-    t_values: Sequence[float],
-    table: Sequence[Sequence[float]],
-    match_tol: float = 1e-9,
-) -> ClassicalSignalFamily:
-    """Family given by explicit probability vectors on a grid of times.
-
-    ``density_at(t)`` looks up the tabulated time nearest to ``t`` and requires
-    it to match within ``match_tol``.
-    """
-    ts = np.asarray(t_values, dtype=float)
-    rows = np.asarray(table, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != ts.size:
-        raise ValidationError("table must have one probability row per tabulated time")
-
-    def density(t: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[k] - t) > match_tol:
-            raise DomainError(f"time {t!r} is not tabulated (nearest {ts[k]!r})")
-        return rows[k]
-
-    return ClassicalSignalFamily(sample_points, density)
 
 
 def classical_fisher(family: ClassicalSignalFamily, t: float, dt: float = 1e-4) -> float:

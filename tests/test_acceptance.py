@@ -201,7 +201,7 @@ def test_criterion_7_nondisturbing_distinguishability():
     with criterion("criterion 7 (block-trace criterion and conserved block weights)"):
         rho1 = DensityMatrix(np.diag([0.5, 0.5]))
         rho2 = DensityMatrix(np.diag([0.7, 0.3]))
-        flag, proj = nondisturbing_distinguishable(rho1, rho2, tol=1e-9, seed=0)
+        flag, proj = nondisturbing_distinguishable(rho1, rho2, seed=0)
         assert flag
         for rho in (rho1, rho2):
             assert np.abs(proj @ rho.entries - rho.entries @ proj).max() <= 1e-9

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclock import bounds, cli, fileio
+from qclock import bounds, cli, distinguish, fileio
 from qclock import (
     ClockSystem,
     DensityMatrix,
@@ -21,6 +21,7 @@ from qclock import (
     identity_channel,
     is_covariant,
     ladder_hamiltonian,
+    pairwise_commuting,
     random_channel,
     random_density,
     random_hamiltonian,
@@ -110,6 +111,30 @@ def test_make_state_random_requires_seed_and_reproduces(tmp_path):
     assert code == 2
 
 
+def test_make_state_random_kinds_feed_other_subcommands(tmp_path):
+    # the random kinds write bare Matrix documents, the format every state and Hamiltonian reader takes
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("a", "b", "h")}
+    for name, seed in (("a", "7"), ("b", "8")):
+        argv = ["make-state", "--kind", "random-density", "--dim", "4", "--rank", "2", "--seed", seed]
+        assert run_cli(argv + ["--output", paths[name]])[0] == 0
+    assert run_cli(["make-state", "--kind", "random-hamiltonian", "--dim", "4", "--seed", "9", "--output", paths["h"]])[0] == 0
+    expected = fileio.matrix_to_json(random_density(4, 2, seed=7).entries)
+    assert Path(paths["a"]).read_text() == fileio.dumps(expected)
+    ch = write_json(tmp_path / "ch.json", fileio.channel_to_json(random_channel(4, 3, 2, seed=10)))
+
+    code, out = run_cli(["decompose", "--state-a", paths["a"], "--state-b", paths["b"], "--seed", "5"])
+    assert code == 0, out
+    assert "distinguishable" in json.loads(out)
+    code, out = run_cli(["broadcastable", "--states", paths["a"], paths["b"]])
+    assert code == 0, out
+    code, out = run_cli(["apply", "--channel", ch, "--state", paths["a"]])
+    assert code == 0, out
+    assert fileio.matrix_from_json(json.loads(out)).shape == (3, 3)
+    code, out = run_cli(["make-state", "--kind", "gaussian", "--hamiltonian", paths["h"], "--mean", "0", "--sigma", "1"])
+    assert code == 0, out
+    assert fileio.clock_from_json(json.loads(out)).dim == 4
+
+
 def test_check_channel_and_twirl_pipeline(tmp_path):
     h_in = random_hamiltonian(2, seed=1)
     h_out = random_hamiltonian(2, seed=2)
@@ -187,6 +212,19 @@ def test_broadcastable_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["commuting"] and doc["max_commutator"] <= 1e-12
+
+
+@pytest.mark.parametrize("coupling", [2e-10, 3e-10])
+def test_broadcastable_verdict_matches_pairwise_commuting(tmp_path, coupling):
+    # max_commutator is 0.4 * coupling: 8e-11 and 1.2e-10, either side of COMMUTE_TOL
+    family = [DensityMatrix(np.diag([0.7, 0.3])), DensityMatrix(np.array([[0.5, coupling], [coupling, 0.5]]))]
+    paths = [write_json(tmp_path / f"s{k}.json", fileio.matrix_to_json(s.entries)) for k, s in enumerate(family)]
+    code, out = run_cli(["broadcastable", "--states", *paths])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["commuting"] is pairwise_commuting(family)
+    assert doc["commuting"] is (coupling < 2.5e-10)
+    assert (doc["max_commutator"] <= distinguish.COMMUTE_TOL) is doc["commuting"]
 
 
 def test_broadcastable_dimension_mismatch_exits_2(tmp_path):
@@ -310,15 +348,15 @@ def test_non_finite_clock_file_exits_2(tmp_path):
 
 
 def test_reused_parser_leaks_no_state_between_runs(tmp_path):
-    # a commutator of 4e-9 lies between the default commute tolerance and 1e-6
-    a = write_json(tmp_path / "a.json", fileio.matrix_to_json(np.diag([0.7, 0.3])))
-    b = write_json(tmp_path / "b.json", fileio.matrix_to_json(np.array([[0.5, 1e-8], [1e-8, 0.5]])))
+    # an explicit --format in one run must not become the default of the next
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "monotonicity", "samples": 2, "dim": 2})
     cli._build_parser.cache_clear()
-    first = run_cli(["broadcastable", "--states", a, b])
-    loose = run_cli(["broadcastable", "--states", a, b, "--tol", "1e-6"])
-    again = run_cli(["broadcastable", "--states", a, b])
-    assert first[0] == loose[0] == 0
-    assert not json.loads(first[1])["commuting"] and json.loads(loose[1])["commuting"]
+    first = run_cli(["sweep", "--config", cfg, "--seed", "3"])
+    override = run_cli(["sweep", "--config", cfg, "--seed", "3", "--format", "csv"])
+    again = run_cli(["sweep", "--config", cfg, "--seed", "3"])
+    assert first[0] == override[0] == 0
+    assert json.loads(first[1])["summary"]["all_satisfied"]
+    assert override[1].startswith("sample_id,")
     assert again == first
 
 
@@ -329,16 +367,26 @@ def _subcommands():
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("qfi", "--cutoff"), ("check-channel", "--tol"), ("twirl", "--freq-tol")],
+    [
+        ("qfi", "--cutoff"),
+        ("check-channel", "--tol"),
+        ("twirl", "--freq-tol"),
+        ("decompose", "--tol"),
+        ("broadcastable", "--tol"),
+    ],
 )
 def test_tolerance_flags_do_not_exist(tmp_path, plus_clock_file, command, flag):
-    # the bound checks' thresholds are constants, so no subcommand can re-decide them
+    # every threshold is a constant, so no subcommand can re-decide a verdict
     ch = write_json(tmp_path / "ch.json", fileio.channel_to_json(random_channel(2, 2, 2, seed=3)))
     h = write_json(tmp_path / "h.json", fileio.matrix_to_json(np.diag([0.0, 1.0])))
+    a = write_json(tmp_path / "a.json", fileio.matrix_to_json(np.diag([0.5, 0.5])))
+    b = write_json(tmp_path / "b.json", fileio.matrix_to_json(np.diag([0.7, 0.3])))
     argv = {
         "qfi": ["qfi", "--clock", plus_clock_file],
         "check-channel": ["check-channel", "--channel", ch],
         "twirl": ["twirl", "--channel", ch, "--hamiltonian-in", h, "--hamiltonian-out", h],
+        "decompose": ["decompose", "--state-a", a, "--state-b", b, "--seed", "5"],
+        "broadcastable": ["broadcastable", "--states", a, b],
     }[command]
     assert run_cli(argv)[0] == 0
     with pytest.raises(SystemExit) as info:

@@ -162,10 +162,12 @@ def test_block_traces_eigenstate_concentrated():
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-20])
-def test_block_trace_verdict_uses_tol(tol):
+def test_block_trace_verdict_uses_tol(monkeypatch, tol):
+    # the constant is read at call time, for the grouping and the verdict alike
+    monkeypatch.setattr(distinguish, "DISTINGUISH_TOL", tol)
     rng = np.random.default_rng(16)
     clock = ClockSystem(random_density(4, 4, rng), random_hamiltonian(4, rng))
-    report = conserved_block_traces(clock, [0.0, 0.3, 1.7], tol=tol)
+    report = conserved_block_traces(clock, [0.0, 0.3, 1.7])
     assert report.conserved == (report.max_deviation <= tol)
     if tol == 1e-20:
         # below the float noise of the evolution: the verdict must say so

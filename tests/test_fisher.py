@@ -9,6 +9,7 @@ from qclock import (
     DomainError,
     Hamiltonian,
     SupportError,
+    ValidationError,
     classical_fisher,
     energy_moments,
     evolve,
@@ -19,7 +20,6 @@ from qclock import (
     random_density,
     random_hamiltonian,
     rho_dot,
-    tabulated_family,
     time_uncertainty,
     variational_qfi,
 )
@@ -203,11 +203,15 @@ def test_classical_gaussian_delay_matches_analytic_value():
 
 
 def test_classical_time_independent_family_is_zero():
-    x = np.linspace(-1, 1, 101)
-    probs = np.exp(-x * x)
-    probs /= probs.sum()
-    family = tabulated_family(x, [-1e-4, 0.0, 1e-4], [probs, probs, probs])
+    family = moving_gaussian_family(velocity=0.0, position_std=1.0, grid_min=-1, grid_max=1, points=101)
     assert classical_fisher(family, t=0.0, dt=1e-4) == 0.0
+
+
+def test_classical_family_rejects_nan_probabilities():
+    # NaN fails every comparison, so a check written as "p < 0" would let it through as F = 0
+    family = moving_gaussian_family(1.0, 1.0, -5, 5, 101, center=math.nan)
+    with pytest.raises(ValidationError):
+        classical_fisher(family, 0.0)
 
 
 def test_classical_moving_signal_matches_analytic_value():

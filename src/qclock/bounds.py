@@ -71,11 +71,25 @@ def _margin(lhs: float, rhs: float):
     return margin, margin >= -MARGIN_TOL
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices as one broadcast product: the same
+    products, without the ~12 us of Python work ``np.kron`` spends per call."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def total_hamiltonian(h1: Hamiltonian, h2: Hamiltonian) -> Hamiltonian:
-    """Non-interacting sum H1 (x) 1 + 1 (x) H2 on the joint output space."""
-    return Hamiltonian(
-        np.kron(h1.entries, np.eye(h2.dim)) + np.kron(np.eye(h1.dim), h2.entries)
-    )
+    """Non-interacting sum H1 (x) 1 + 1 (x) H2 on the joint output space.
+
+    Its decomposition comes from the factors' with no ``eigh``: the
+    eigenvalues are the sums E1[a] + E2[b] in stable ascending order, and the
+    eigenvectors are the columns of kron(U1, U2) in the same order.
+    """
+    entries = _kron(h1.entries, np.eye(h2.dim)) + _kron(np.eye(h1.dim), h2.entries)
+    sums = (h1.eigenvalues[:, None] + h2.eigenvalues[None, :]).reshape(-1)
+    order = np.argsort(sums, kind="stable")
+    vectors = _kron(h1.eigenvectors, h2.eigenvectors)[:, order]
+    return Hamiltonian._from_decomposition(entries, sums[order], vectors)
 
 
 @dataclass(frozen=True)

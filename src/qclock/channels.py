@@ -36,9 +36,42 @@ one; the twirl enforces exactly that, which equals the Cesaro time average
 of  t -> e^{iH_out t} G(e^{-iH_in t} . e^{iH_in t}) e^{-iH_out t}  and is
 therefore CPTP whenever the input is.
 
-Both the covariance check and the twirl only ever multiply ``choi`` by
-Kronecker-structured operators A (x) B, which :func:`_kron_rows` applies
-factor by factor without building the (din*dout)^2 Kronecker matrix.
+Both the covariance check and the twirl of a Choi matrix only ever multiply
+``choi`` by Kronecker-structured operators A (x) B, which :func:`_kron_rows`
+applies factor by factor without building the (din*dout)^2 Kronecker matrix.
+
+Kraus form
+----------
+A channel built by :func:`channel_from_kraus` (and so by
+:func:`random_channel`, :func:`unitary_channel`, :func:`evolution_channel`,
+and by the twirl of any of these) keeps its operators as ``kraus``, a
+read-only stack of shape (r, dout, din) with ``kraus[m] = K_m``.  It forms
+``choi`` on first read and caches it: with V the (r, dout*din) matrix whose
+row m is the Choi vector ``K_m.T.reshape(-1)``, ``choi = V^T conj(V)``,
+symmetrized like any other Choi matrix.  A factor with more than din*dout
+operators is no smaller than the Choi matrix, so such a channel forms
+``choi`` at once and keeps no factor.  Every other channel has
+``kraus = None``.
+
+The twirl zeroes the eigenbasis Choi entries of mismatched frequency, which
+is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
+C = V^T conj(V) this is the Choi matrix of the operators P_c K_m.  So a
+channel that carries a factor is twirled in that form: every K_m is rotated
+into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
+back, and the result carries the classes * r masked operators.  No n x n
+matrix is formed, and the raw channel's ``choi`` is never read.  A channel
+given only as a Choi matrix (a JSON file, :func:`tensor`) takes the
+Choi-matrix twirl.  For ladder spectra the eigenvectors are permutations and
+both twirls sum the same products, so they agree bit for bit, except that a
+one-operator factor can differ in the last bit: OpenBLAS rounds the
+one-term Gram product of its raw Choi matrix differently.
+
+The cost of forming the twirled ``choi`` grows with the number of classes.
+Drawing a rank-2 ``random_channel``, twirling it and forming ``choi`` takes
+~5.5 ms in Kraus form against ~17.5 ms through the Choi matrix on a
+(16, 4, 4) ladder row, which has 22 classes.  Generic 16 -> 16 spectra have
+256 classes, so the twirl makes 512 operators, and there it is slower:
+~21 ms against ~16 ms (2-vCPU box, NumPy 2.4 with OpenBLAS).
 
 Block spectrum
 --------------
@@ -71,11 +104,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .states import DensityMatrix, Hamiltonian, _hermitize, _split_at_gaps
+from .states import (
+    DensityMatrix,
+    Hamiltonian,
+    _hermitian_deviation,
+    _hermitize,
+    _split_at_gaps,
+)
 
 CPTP_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 FREQ_TOL = 1e-9
+
+
+def _check_dims(dim_in: int, dim_out: int):
+    if dim_in < 1 or dim_out < 1:
+        raise DomainError(f"dimensions must be positive, got {dim_in}x{dim_out}")
 
 
 class QuantumChannel:
@@ -83,12 +127,13 @@ class QuantumChannel:
 
     Construction enforces shape and hermiticity only; complete positivity and
     trace preservation are measured by :func:`validate_cptp` so that slightly
-    defective matrices can still be diagnosed.
+    defective matrices can still be diagnosed.  A channel built from Kraus
+    operators also carries them as ``kraus`` and forms ``choi`` on first read
+    (see "Kraus form" in the module docstring); otherwise ``kraus`` is None.
     """
 
     def __init__(self, dim_in: int, dim_out: int, choi):
-        if dim_in < 1 or dim_out < 1:
-            raise DomainError(f"dimensions must be positive, got {dim_in}x{dim_out}")
+        _check_dims(dim_in, dim_out)
         mat = np.asarray(choi, dtype=complex)
         n = dim_in * dim_out
         if mat.shape != (n, n):
@@ -97,10 +142,36 @@ class QuantumChannel:
             )
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
-        self.choi = _hermitize(mat, "choi matrix")
+        self.kraus = None
+        self._choi = _hermitize(mat, "choi matrix")
+
+    @property
+    def choi(self) -> np.ndarray:
+        if self._choi is None:
+            self._choi = _kraus_choi(self.kraus)
+        return self._choi
 
     def __repr__(self):
         return f"QuantumChannel({self.dim_in}->{self.dim_out})"
+
+
+def _kraus_choi(kraus: np.ndarray) -> np.ndarray:
+    """Choi matrix of an (r, dout, din) operator stack."""
+    # row m is the Choi vector of K_m; the Choi matrix is V^T conj(V) = sum_m v_m v_m†
+    vecs = kraus.transpose(0, 2, 1).reshape(len(kraus), kraus.shape[1] * kraus.shape[2])
+    return _hermitize(vecs.T @ vecs.conj(), "choi matrix")
+
+
+def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChannel:
+    """Channel of a finite (r, dim_out, dim_in) operator stack; shapes are the caller's to check."""
+    channel = QuantumChannel.__new__(QuantumChannel)
+    channel.dim_in, channel.dim_out = int(dim_in), int(dim_out)
+    if len(kraus) > dim_in * dim_out:  # no smaller than the Choi matrix, so not kept
+        channel.kraus, channel._choi = None, _kraus_choi(kraus)
+    else:
+        kraus.setflags(write=False)
+        channel.kraus, channel._choi = kraus, None
+    return channel
 
 
 def apply_to_matrix(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
@@ -239,8 +310,9 @@ def is_covariant(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian)
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
     c = channel.choi
-    kc = _kron_rows(None, h_out.entries, c) - _kron_rows(h_in.entries.T, None, c)
-    residual = float(np.abs(kc - kc.conj().T).max())
+    kc = _kron_rows(None, h_out.entries, c)
+    kc -= _kron_rows(h_in.entries.T, None, c)
+    residual = _hermitian_deviation(kc)[0]
     return CovarianceReport(residual=residual, is_covariant=residual <= COVARIANCE_TOL)
 
 
@@ -265,15 +337,25 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     carries a frequency mismatch (E_out_a - E_out_b) - (E_in_i - E_in_j);
     entries whose mismatch exceeds ``FREQ_TOL`` are zeroed.  The input factor
     uses the conjugated eigenbasis because the channel acts on the input index
-    through a transpose.
+    through a transpose.  A channel that carries Kraus operators is twirled in
+    that form and the result carries them too (see "Kraus form" in the module
+    docstring).
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    # W = conj(U_in) (x) U_out; c_eig = W† C W and the result is W (c_eig * mask) W†
     u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-    c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
     # nu[i*dout + a] = E_out[a] - E_in[i]; mismatch of entry (r, c) is nu[r] - nu[c]
     nu = (h_out.eigenvalues[None, :] - h_in.eigenvalues[:, None]).reshape(-1)
     classes = _frequency_classes(nu, FREQ_TOL)
+    if channel.kraus is not None:
+        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
+        labels = classes.reshape(channel.dim_in, channel.dim_out).T
+        masks = labels == np.arange(labels.max() + 1)[:, None, None]
+        rotated = u_out.conj().T @ channel.kraus @ u_in
+        masked = np.where(masks[:, None], rotated, 0)
+        kraus = (u_out @ masked @ u_in.conj().T).reshape(-1, channel.dim_out, channel.dim_in)
+        return _kraus_channel(channel.dim_in, channel.dim_out, kraus)
+    # W = conj(U_in) (x) U_out; c_eig = W† C W and the result is W (c_eig * mask) W†
+    c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
     mask = classes[:, None] == classes[None, :]
     twirled = _kron_sandwich(u_in.conj(), u_out, c_eig * mask)
     return QuantumChannel(channel.dim_in, channel.dim_out, twirled)
@@ -306,16 +388,23 @@ def evolution_channel(h: Hamiltonian, t: float) -> QuantumChannel:
 
 
 def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
+    """Channel X -> sum_m K_m X K_m† that keeps its operators.
+
+    Shapes and finiteness are checked here; ``choi`` is formed on first read
+    (see "Kraus form" in the module docstring), and an empty list gives the
+    zero map.
+    """
+    _check_dims(dim_in, dim_out)
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatchError(
                 f"kraus operator shape {k.shape} does not match dims {dim_in}->{dim_out}"
             )
-    n = dim_in * dim_out
-    # row m is the Choi vector of K_m; the Choi matrix is V^T conj(V) = sum_m v_m v_m†
-    vecs = np.array([k.T.reshape(-1) for k in ops], dtype=complex).reshape(len(ops), n)
-    return QuantumChannel(dim_in, dim_out, vecs.T @ vecs.conj())
+    stack = np.array(ops, dtype=complex).reshape(len(ops), dim_out, dim_in)
+    if not np.isfinite(stack).all():
+        raise ValidationError("kraus operators have non-finite entries")
+    return _kraus_channel(dim_in, dim_out, stack)
 
 
 def kraus_operators(channel: QuantumChannel) -> list[np.ndarray]:
@@ -362,8 +451,8 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int, seed) -> QuantumC
     phases = np.diag(r).copy()
     phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
     q = q * phases.conj()
-    kraus = [q[m * dim_out : (m + 1) * dim_out, :] for m in range(kraus_rank)]
-    return channel_from_kraus(kraus, dim_in, dim_out)
+    # rows m*dim_out .. (m+1)*dim_out - 1 of q are K_m
+    return channel_from_kraus(q.reshape(kraus_rank, dim_out, dim_in), dim_in, dim_out)
 
 
 def tensor(channel1: QuantumChannel, channel2: QuantumChannel) -> QuantumChannel:

@@ -74,6 +74,41 @@ def test_copy_bound_stationary_input_clock():
     assert report.satisfied
 
 
+def test_total_hamiltonian_builds_its_decomposition_without_eigh(monkeypatch):
+    h1, h2 = random_hamiltonian(3, seed=71), ladder_hamiltonian(4, 0.5)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    total = total_hamiltonian(h1, h2)
+    assert calls == []
+    sums = np.add.outer(h1.eigenvalues, h2.eigenvalues).reshape(-1)
+    assert np.array_equal(total.eigenvalues, np.sort(sums, kind="stable"))
+    assert np.abs(total.eigenvalues - eigh(total.entries)[0]).max() <= 1e-12
+    u = total.eigenvectors
+    assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-12
+    assert np.abs(total.entries @ u - u * total.eigenvalues).max() <= 1e-12
+    assert np.array_equal(
+        total.entries, np.kron(h1.entries, np.eye(4)) + np.kron(np.eye(3), h2.entries)
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ladder_twirl_is_unchanged_by_the_factored_decomposition(seed):
+    h_in = ladder_hamiltonian(8, 1.0)
+    total = total_hamiltonian(ladder_hamiltonian(3, 1.0), ladder_hamiltonian(3, 1.0))
+    by_eigh = Hamiltonian(total.entries)
+    assert np.array_equal(total.eigenvalues, by_eigh.eigenvalues)
+    raw = random_channel(8, 9, 2, seed=seed)
+    assert np.array_equal(
+        covariant_twirl(raw, h_in, total).choi, covariant_twirl(raw, h_in, by_eigh).choi
+    )
+
+
 def test_copy_bound_monte_carlo_equal_superposition():
     clock = equal_superposition_clock(4, 1.0)
     h1 = ladder_hamiltonian(2, 1.0)

@@ -26,6 +26,7 @@ from qclock import (
     random_channel,
     random_density,
     random_hamiltonian,
+    sweep,
     tensor,
     total_hamiltonian,
     unitary_channel,
@@ -244,6 +245,41 @@ def test_ladder_sweep_row_diagonalises_only_small_blocks(monkeypatch):
     assert sizes and max(sizes) <= 16
 
 
+def recording_hermitize(monkeypatch):
+    """Record the shape of every Choi matrix the channels module forms (each one is symmetrized)."""
+    formed = []
+    hermitize = channels._hermitize
+
+    def recording(mat, what):
+        formed.append(np.shape(mat))
+        return hermitize(mat, what)
+
+    monkeypatch.setattr(channels, "_hermitize", recording)
+    return formed
+
+
+def test_ladder_sweep_row_forms_one_choi_matrix(monkeypatch):
+    formed = recording_hermitize(monkeypatch)
+    config = {"experiment": "copy_bound", "samples": 1, "dim_in": 16, "dim_out1": 4, "dim_out2": 4}
+    (row,) = sweep(config, seed=7).rows
+    assert row["covariance_residual"] <= channels.COVARIANCE_TOL
+    assert formed == [(256, 256)]
+
+
+def test_twirling_a_kraus_channel_never_forms_the_raw_choi_matrix(monkeypatch):
+    formed = recording_hermitize(monkeypatch)
+    raw = random_channel(16, 16, 2, seed=47)
+    twirled = covariant_twirl(
+        raw,
+        ladder_hamiltonian(16, 1.0),
+        total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0)),
+    )
+    assert formed == []
+    assert twirled.kraus is not None
+    assert twirled.choi is twirled.choi
+    assert formed == [(256, 256)]
+
+
 # ---------------------------------------------------------------------------
 # covariance
 # ---------------------------------------------------------------------------
@@ -358,6 +394,15 @@ def test_covariance_residual_matches_per_unit_definition(din, dout):
         assert expected > 1e-3
         assert abs(report.residual - expected) <= 1e-12
         assert not report.is_covariant
+
+
+def test_covariance_residual_is_the_commutator_deviation_bit_for_bit():
+    channel = ladder_sweep_broadcast(seed=49)
+    h_in = ladder_hamiltonian(16, 1.0)
+    h_out = total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0))
+    c = channel.choi
+    kc = channels._kron_rows(None, h_out.entries, c) - channels._kron_rows(h_in.entries.T, None, c)
+    assert is_covariant(channel, h_in, h_out).residual == np.abs(kc - kc.conj().T).max()
 
 
 def test_covariance_residual_matches_per_unit_definition_on_twirled_channels():
@@ -526,9 +571,60 @@ def test_channel_from_kraus_matches_outer_product_sum():
         vec = k.T.reshape(-1)
         expected += np.outer(vec, vec.conj())
     assert np.abs(channel_from_kraus(kraus, 3, 4).choi - expected).max() <= 1e-14
-    assert np.array_equal(channel_from_kraus([], 3, 4).choi, np.zeros((12, 12)))
+    empty = channel_from_kraus([], 3, 4)
+    assert empty.kraus.shape == (0, 4, 3)
+    assert np.array_equal(empty.choi, np.zeros((12, 12)))
     with pytest.raises(DimensionMismatchError):
         channel_from_kraus([kraus[0], kraus[1].T], 3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_channel_from_kraus_rejects_non_finite_operators_at_construction(bad):
+    k = np.eye(4, 3, dtype=complex)
+    k[2, 1] = bad
+    with pytest.raises(ValidationError) as info:
+        channel_from_kraus([np.eye(4, 3), k], 3, 4)
+    assert info.value.code == "invalid-matrix"
+
+
+def test_channel_from_kraus_checks_every_shape():
+    with pytest.raises(DimensionMismatchError):
+        channel_from_kraus([np.ones(12)], 3, 4)
+    with pytest.raises(DomainError):
+        channel_from_kraus([], 0, 4)
+
+
+def test_channel_from_kraus_keeps_the_operators_and_caches_choi():
+    rng = np.random.default_rng(48)
+    kraus = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) for _ in range(2)]
+    channel = channel_from_kraus(kraus, 3, 4)
+    assert channel.kraus.shape == (2, 4, 3)
+    assert np.array_equal(channel.kraus, np.array(kraus))
+    assert not channel.kraus.flags.writeable
+    first = channel.choi
+    assert channel.choi is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # the Choi matrix is V^T conj(V) over the stacked Choi vectors, symmetrized
+    vecs = np.array([k.T.reshape(-1) for k in kraus])
+    gram = vecs.T @ vecs.conj()
+    assert np.array_equal(first, (gram + gram.conj().T) / 2)
+
+
+def test_a_factor_longer_than_the_choi_matrix_is_not_kept():
+    ops = [np.eye(2) / np.sqrt(5)] * 5
+    channel = channel_from_kraus(ops, 2, 2)
+    assert channel.kraus is None
+    assert np.abs(channel.choi - identity_channel(2).choi).max() <= 1e-15
+    assert channel_from_kraus(ops[:4], 2, 2).kraus is not None
+
+
+def test_choi_channels_carry_no_kraus_factor():
+    assert identity_channel(2).kraus is None
+    assert QuantumChannel(2, 2, identity_channel(2).choi).kraus is None
+    h = ladder_hamiltonian(2, 1.0)
+    assert covariant_twirl(identity_channel(2), h, h).kraus is None
 
 
 def test_unitary_channel_rejects_non_unitary():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qclock import states
 from qclock import (
     ClockSystem,
     DensityMatrix,
@@ -62,6 +63,46 @@ def test_constructors_reject_non_finite_entries(build, bad):
     mat[0, 1] = mat[1, 0] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         build(mat)
+
+
+def _bits(mat):
+    return np.ascontiguousarray(mat).tobytes()
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda m: m, np.asfortranarray, lambda m: np.repeat(np.repeat(m, 2, 0), 2, 1)[::2, ::2]],
+    ids=["c-order", "f-order", "strided"],
+)
+def test_hermitize_matches_the_plain_formula_bit_for_bit(layout):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    noisy = a + a.conj().T + 1e-14 * rng.standard_normal((40, 40))
+    noisy[3, :5] = noisy[:5, 3] = -0.0  # signed zeros must come out as the formula gives them
+    mat = layout(noisy)
+    adjoint = mat.conj().T
+    expected = (mat + adjoint) / 2
+    assert _bits(states._hermitize(mat, "m")) == _bits(expected)
+    dev, adj = states._hermitian_deviation(mat)
+    assert dev == np.abs(mat - adjoint).max()
+    assert _bits(adj) == _bits(adjoint)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitize_rejects_a_non_finite_entry_beyond_the_first_row_block(bad):
+    mat = np.eye(200, dtype=complex)
+    mat[190, 60] = mat[60, 190] = bad  # rows 60 and 190 lie in the second and fifth blocks
+    with pytest.raises(ValidationError, match="non-finite") as info:
+        states._hermitize(mat, "m")
+    assert not np.isfinite(info.value.detail["deviation"])
+
+
+def test_hermitize_reports_the_plain_deviation():
+    rng = np.random.default_rng(13)
+    mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    with pytest.raises(ValidationError) as info:
+        Hamiltonian(mat)
+    assert info.value.detail["deviation"] == np.abs(mat - mat.conj().T).max()
 
 
 def test_hamiltonian_reconstructs_from_cached_decomposition():

@@ -147,7 +147,17 @@ def copy_bound_check(
     first).  Reciprocals of timing informations at or below ``F_FLOOR`` are
     reported as infinite.
     """
-    h_total = total_hamiltonian(h1, h2)
+    return _copy_bound(clock, broadcast, h1, h2, total_hamiltonian(h1, h2))
+
+
+def _copy_bound(
+    clock: ClockSystem,
+    broadcast: QuantumChannel,
+    h1: Hamiltonian,
+    h2: Hamiltonian,
+    h_total: Hamiltonian,
+) -> CopyBoundReport:
+    """:func:`copy_bound_check` for a caller that already holds ``total_hamiltonian(h1, h2)``."""
     residual = _require_covariant_process(clock, broadcast, h_total)
 
     rho_out = apply_channel(broadcast, clock.state)
@@ -336,8 +346,9 @@ def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
         clock = ClockSystem(state, ladder_hamiltonian(dim_in, quantum * lam))
         h1 = ladder_hamiltonian(d1, quantum * lam)
         h2 = ladder_hamiltonian(d2, quantum * lam)
-        broadcast = covariant_twirl(raw, clock.hamiltonian, total_hamiltonian(h1, h2))
-        report = copy_bound_check(clock, broadcast, h1, h2)
+        h_total = total_hamiltonian(h1, h2)
+        broadcast = covariant_twirl(raw, clock.hamiltonian, h_total)
+        report = _copy_bound(clock, broadcast, h1, h2, h_total)
         rows.append(
             _row(report, **shared, dim_out1=d1, dim_out2=d2, energy_scale=lam, clock=config["clock"])
         )

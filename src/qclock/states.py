@@ -206,10 +206,18 @@ def gaussian_energy_pure_state(h: Hamiltonian, mean: float, sigma: float) -> Den
 
 
 def ladder_hamiltonian(n: int, quantum: float) -> Hamiltonian:
-    """Equally spaced spectrum diag(quantum, 2*quantum, ..., n*quantum)."""
+    """Equally spaced spectrum diag(quantum, 2*quantum, ..., n*quantum).
+
+    The matrix is diagonal, so its decomposition is read off with no ``eigh``:
+    the levels in stable ascending order and the matching unit vectors, which
+    is what ``eigh`` returns for it (reversed when ``quantum`` is negative).
+    """
     if n < 1:
         raise DomainError(f"need at least one level, got {n}")
-    return Hamiltonian(np.diag(np.arange(1, n + 1) * float(quantum)))
+    levels = np.arange(1, n + 1) * float(quantum)
+    order = np.argsort(levels, kind="stable")
+    vectors = np.eye(n, dtype=complex)[:, order]
+    return Hamiltonian._from_decomposition(np.diag(levels), levels[order], vectors)
 
 
 def equal_superposition_clock(n: int, quantum: float) -> ClockSystem:

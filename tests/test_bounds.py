@@ -352,6 +352,27 @@ def test_sweep_row_k_is_the_one_sample_sweep_at_seed_plus_k():
         assert {**row, "sample_id": 0} == single
 
 
+def test_copy_bound_sweep_row_builds_its_total_hamiltonian_once(monkeypatch):
+    from qclock import bounds
+
+    built = []
+    build = bounds.total_hamiltonian
+    monkeypatch.setattr(bounds, "total_hamiltonian", lambda *hs: built.append(1) or build(*hs))
+    cfg = dict(COPY_CFG, samples=1, clock="equal_superposition", energy_scales=[0.5, 3.0])
+    rows = sweep(cfg, seed=4).rows
+    assert len(rows) == len(built) == 2
+    # each row is copy_bound_check's report on the same twirled channel
+    monkeypatch.undo()
+    raw = random_channel(3, 4, 2, np.random.default_rng(4))
+    for row, lam in zip(rows, [0.5, 3.0]):
+        clock = equal_superposition_clock(3, lam)
+        h = ladder_hamiltonian(2, lam)
+        broadcast = covariant_twirl(raw, clock.hamiltonian, total_hamiltonian(h, h))
+        report = copy_bound_check(clock, broadcast, h, h)
+        fields = ("f_in", "f1", "f2", "e2", "margin", "covariance_residual")
+        assert {k: row[k] for k in fields} == {k: getattr(report, k) for k in fields}
+
+
 def test_sweep_monotonicity_summary():
     result = sweep(MONO_CFG, seed=5)
     assert result.summary["min_margin"] >= -1e-8

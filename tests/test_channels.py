@@ -12,6 +12,7 @@ from qclock import (
     ValidationError,
     append_state,
     apply_channel,
+    apply_to_matrix,
     channel_from_kraus,
     covariant_twirl,
     depolarizing_channel,
@@ -118,6 +119,11 @@ def ladder_sweep_broadcast(seed):
     return covariant_twirl(random_channel(16, 16, 2, np.random.default_rng(seed)), h_in, h_out)
 
 
+def choi_only(channel):
+    """The same channel given only by its Choi matrix, so every check takes the Choi-matrix path."""
+    return QuantumChannel(channel.dim_in, channel.dim_out, channel.choi)
+
+
 def bfs_components(pattern):
     """Reference: breadth-first search from each unvisited vertex, one neighbour at a time."""
     n = len(pattern)
@@ -162,7 +168,7 @@ def assert_matches_dense_spectrum(channel, tol=1e-12):
 
 
 def test_block_spectrum_of_a_ladder_twirl():
-    channel = ladder_sweep_broadcast(seed=40)
+    channel = choi_only(ladder_sweep_broadcast(seed=40))
     assert len(np.unique(channels._pattern_components(channel.choi != 0))) == 22
     report = assert_matches_dense_spectrum(channel)
     assert report.largest_block == 16
@@ -170,7 +176,7 @@ def test_block_spectrum_of_a_ladder_twirl():
 
 
 def test_block_spectrum_of_a_dense_channel():
-    channel = random_channel(3, 4, 2, seed=41)
+    channel = choi_only(random_channel(3, 4, 2, seed=41))
     assert np.count_nonzero(channel.choi) == 144
     report = assert_matches_dense_spectrum(channel)
     assert report.largest_block == 12
@@ -232,7 +238,7 @@ def test_pattern_components_match_breadth_first_search(seed):
 
 
 def test_ladder_sweep_row_diagonalises_only_small_blocks(monkeypatch):
-    channel = ladder_sweep_broadcast(seed=44)
+    channel = choi_only(ladder_sweep_broadcast(seed=44))
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -258,12 +264,12 @@ def recording_hermitize(monkeypatch):
     return formed
 
 
-def test_ladder_sweep_row_forms_one_choi_matrix(monkeypatch):
+def test_ladder_sweep_row_forms_no_choi_matrix(monkeypatch):
     formed = recording_hermitize(monkeypatch)
     config = {"experiment": "copy_bound", "samples": 1, "dim_in": 16, "dim_out1": 4, "dim_out2": 4}
     (row,) = sweep(config, seed=7).rows
     assert row["covariance_residual"] <= channels.COVARIANCE_TOL
-    assert formed == [(256, 256)]
+    assert formed == []
 
 
 def test_twirling_a_kraus_channel_never_forms_the_raw_choi_matrix(monkeypatch):
@@ -397,7 +403,7 @@ def test_covariance_residual_matches_per_unit_definition(din, dout):
 
 
 def test_covariance_residual_is_the_commutator_deviation_bit_for_bit():
-    channel = ladder_sweep_broadcast(seed=49)
+    channel = choi_only(ladder_sweep_broadcast(seed=49))
     h_in = ladder_hamiltonian(16, 1.0)
     h_out = total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0))
     c = channel.choi
@@ -451,6 +457,118 @@ def test_channel_rejects_non_hermitian_choi():
         QuantumChannel(2, 2, choi)
     assert info.value.code == "invalid-matrix"
     assert info.value.detail["deviation"] == pytest.approx(1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the Kraus-form gate against the Choi-matrix gate
+# ---------------------------------------------------------------------------
+
+
+def _ladder_3_2_2():
+    """(raw, twirled, h_in, h_out) at (3, 2, 2) on ladders: 10 twirled operators, 2 raw."""
+    h_in = ladder_hamiltonian(3, 1.0)
+    h_out = total_hamiltonian(ladder_hamiltonian(2, 1.0), ladder_hamiltonian(2, 1.0))
+    raw = random_channel(3, 4, 2, seed=12)
+    return raw, covariant_twirl(raw, h_in, h_out), h_in, h_out
+
+
+def _mixture(target):
+    """Kraus set sqrt(1-eps)*twirled + sqrt(eps)*raw whose Choi covariance residual is ~target."""
+    raw, twirled, h_in, h_out = _ladder_3_2_2()
+    eps = target / is_covariant(choi_only(raw), h_in, h_out).residual
+    ops = np.concatenate([np.sqrt(1 - eps) * twirled.kraus, np.sqrt(eps) * raw.kraus])
+    return channel_from_kraus(ops, 3, 4), h_in, h_out
+
+
+def _raw():
+    raw, _, h_in, h_out = _ladder_3_2_2()
+    return raw, h_in, h_out
+
+
+def _scaled(factor):
+    _, twirled, h_in, h_out = _ladder_3_2_2()
+    return channel_from_kraus(factor * twirled.kraus, 3, 4), h_in, h_out
+
+
+def _unitary_mix_of_homogeneous_operators():
+    """Covariant, but each operator mixes the frequency classes of the twirled set."""
+    _, twirled, h_in, h_out = _ladder_3_2_2()
+    rng = np.random.default_rng(50)
+    r = len(twirled.kraus)
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    return channel_from_kraus(np.einsum("mn,nab->mab", q, twirled.kraus), 3, 4), h_in, h_out
+
+
+def _generic_twirl():
+    """Twirl on generic spectra: 9 classes of one operator each, so the factor is kept."""
+    h_in, h_out = random_hamiltonian(3, seed=51), random_hamiltonian(3, seed=52)
+    return covariant_twirl(random_channel(3, 3, 1, seed=53), h_in, h_out), h_in, h_out
+
+
+CERTIFICATE_CASES = {
+    "ladder-16-16": lambda: (
+        ladder_sweep_broadcast(seed=54),
+        ladder_hamiltonian(16, 1.0),
+        total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0)),
+    ),
+    "ladder-3-4": lambda: _ladder_3_2_2()[1:],
+    "generic-twirl-3-3": _generic_twirl,
+    "raw-3-4": _raw,
+    **{
+        f"mixture-{t:g}": (lambda t=t: _mixture(t))
+        for t in (1e-12, 1e-10, 3e-10, 9e-10, 1.1e-9, 3e-9, 1e-8)
+    },
+    **{
+        f"scaled-{f!r}": (lambda f=f: _scaled(f))
+        for f in (1 + 1e-6, 1 - 1e-6, 1 + 1e-12, 1 - 1e-12)
+    },
+    "unitary-mix": _unitary_mix_of_homogeneous_operators,
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_kraus_gate_gives_the_choi_gate_verdicts(case):
+    channel, h_in, h_out = CERTIFICATE_CASES[case]()
+    assert channel.kraus is not None
+    reference = choi_only(channel)
+    cptp, choi_cptp = validate_cptp(channel), validate_cptp(reference)
+    assert cptp.ok == choi_cptp.ok
+    assert (cptp.cp_violation, cptp.largest_block) == (0.0, 0)
+    assert abs(cptp.tp_violation - choi_cptp.tp_violation) <= 1e-15
+    cov, choi_cov = is_covariant(channel, h_in, h_out), is_covariant(reference, h_in, h_out)
+    assert cov.is_covariant == choi_cov.is_covariant
+    assert cov.residual >= choi_cov.residual
+    rng = np.random.default_rng(55)
+    d = channel.dim_in
+    general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for x in (random_density(d, 2, rng).entries, general):
+        assert np.abs(apply_to_matrix(channel, x) - apply_to_matrix(reference, x)).max() <= 1e-13
+
+
+def test_the_certificate_accepts_twirls_and_falls_back_on_mixed_frequencies():
+    _, twirled, h_in, h_out = _ladder_3_2_2()
+    for channel in (twirled, _mixture(1e-12)[0]):
+        bound = channels._kraus_covariance_bound(channel.kraus, h_in.entries, h_out.entries)
+        assert bound <= channels.COVARIANCE_TOL
+        assert is_covariant(channel, h_in, h_out).is_covariant
+        assert channel._choi is None  # accepted without forming the Choi matrix
+    mixed, h_in, h_out = _unitary_mix_of_homogeneous_operators()
+    assert channels._kraus_covariance_bound(mixed.kraus, h_in.entries, h_out.entries) > 1e-3
+    report = is_covariant(mixed, h_in, h_out)
+    assert report.is_covariant
+    assert report.residual == is_covariant(choi_only(mixed), h_in, h_out).residual
+
+
+def test_the_mixture_band_straddles_the_covariance_tolerance():
+    verdicts = {t: is_covariant(*_mixture(t)).is_covariant for t in (1e-12, 9e-10, 1.1e-9, 1e-8)}
+    assert verdicts == {1e-12: True, 9e-10: True, 1.1e-9: False, 1e-8: False}
+
+
+def test_scaled_kraus_sets_fail_trace_preservation_by_the_scaling():
+    for factor, ok in ((1 + 1e-6, False), (1 - 1e-6, False), (1 + 1e-12, True), (1 - 1e-12, True)):
+        report = validate_cptp(_scaled(factor)[0])
+        assert report.tp_violation == pytest.approx(abs(factor**2 - 1), rel=1e-3)
+        assert report.ok == ok
 
 
 # ---------------------------------------------------------------------------

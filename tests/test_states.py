@@ -305,3 +305,16 @@ def test_random_hamiltonian_deterministic_and_hermitian():
 def test_ladder_hamiltonian_quantum_scaling():
     h = ladder_hamiltonian(3, 2.0)
     assert np.allclose(h.eigenvalues, [2.0, 4.0, 6.0])
+
+
+@pytest.mark.parametrize("quantum", [1.0, 0.5, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_ladder_decomposition_is_eighs_bit_for_bit(n, quantum):
+    # the decomposition is read off the diagonal; for quantum -1 eigh returns the reversed basis
+    ladder = ladder_hamiltonian(n, quantum)
+    reference = Hamiltonian(np.diag(np.arange(1, n + 1) * quantum))
+    for field in ("entries", "eigenvalues", "eigenvectors"):
+        got, want = getattr(ladder, field), getattr(reference, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    if quantum < 0 and n > 1:
+        assert not np.array_equal(ladder.eigenvectors, np.eye(n))

@@ -7,13 +7,18 @@ row count).  A clock file is ``{"state": <matrix>, "hamiltonian": <matrix>}``
 and a channel file ``{"dim_in":, "dim_out":, "choi": <matrix>}``.
 
 JSON documents are kept strictly standard: non-finite floats are serialized
-as the strings "inf", "-inf", "nan".  CSV cells use ``repr`` of the float, so
+as the strings "inf", "-inf", "nan".  Their byte layout is frozen as the one
+``json.dumps(doc, indent=2)`` writes: two-space indent, one item per line,
+``": "`` after keys, ASCII-escaped strings, each finite float as its
+``repr``, ``[]``/``{}`` for empty containers, and a trailing newline;
+``dumps`` reproduces it in one pass.  CSV cells use ``repr`` of the float, so
 infinities appear as ``inf``.
 """
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,6 +82,10 @@ def channel_from_json(doc) -> QuantumChannel:
     return QuantumChannel(int(doc["dim_in"]), int(doc["dim_out"]), matrix_from_json(doc["choi"]))
 
 
+def _nonfinite_text(value: float) -> str:
+    return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+
+
 def json_safe(value):
     """Recursively replace non-finite floats so documents stay standard JSON."""
     if isinstance(value, dict):
@@ -86,12 +95,77 @@ def json_safe(value):
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        return _nonfinite_text(value)
     return value
 
 
+class _Unsupported(Exception):
+    """A value the one-pass encoder leaves to the stdlib path."""
+
+
+def _encode_scalar(value) -> str:
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return '"' + _nonfinite_text(value) + '"'
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (np.floating, np.integer)):
+        item = value.item()
+        if type(item) is float or type(item) is int:
+            return _encode_scalar(item)
+    raise _Unsupported
+
+
+def _encode(value, indent: str) -> str:
+    """``value`` as ``json.dumps(json_safe(value), indent=2)`` writes it,
+    where ``indent`` is a newline plus the enclosing container's indent."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        separator = "," + inner
+        try:
+            # A row of finite floats: ``json`` writes each with float.__repr__,
+            # and only nan/inf put an "n" in the text.
+            body = separator.join(map(float.__repr__, value))
+            if "n" in body:
+                raise TypeError
+        except TypeError:
+            body = separator.join([_encode(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unsupported
+            parts.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    return _encode_scalar(value)
+
+
 def dumps(doc) -> str:
-    return json.dumps(json_safe(doc), indent=2) + "\n"
+    """The frozen layout of every JSON document, in one pass.
+
+    Byte for byte ``json.dumps(json_safe(doc), indent=2)`` plus a newline.  A
+    document holding anything other than str-keyed dicts, lists, tuples, str,
+    int, float, bool, None and NumPy float/int scalars goes through that
+    expression whole, so its output or exception is the stdlib's."""
+    try:
+        return _encode(doc, "\n") + "\n"
+    except _Unsupported:
+        return json.dumps(json_safe(doc), indent=2) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -59,14 +59,12 @@ from .errors import (
 from .fisher import (
     ClassicalSignalFamily,
     SldResult,
-    VariationalResult,
     classical_fisher,
     gaussian_delay_family,
     moving_gaussian_family,
     qfi,
     rho_dot,
     time_uncertainty,
-    variational_qfi,
 )
 from .states import (
     ClockSystem,

@@ -118,10 +118,11 @@ never changes the spectrum that is computed.
 
 Tolerances
 ----------
-Three constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
+Four constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
 violations and is also the Kraus eigenvalue cutoff, ``COVARIANCE_TOL`` bounds
-the covariance residual, and ``FREQ_TOL`` is the largest gap inside one
-Bohr-frequency class of the twirl.  No function takes a tolerance, so a
+the covariance residual, ``FREQ_TOL`` is the largest gap inside one
+Bohr-frequency class of the twirl, and ``UNITARY_TOL`` bounds max|U†U − I| in
+``unitary_channel``.  No function takes a tolerance, so a
 channel gets the same verdict from every caller; the reports carry the raw
 violations and residual for anyone who needs another threshold.  For a
 channel that carries Kraus operators the CP violation is 0.0 by
@@ -146,6 +147,7 @@ from .states import (
 CPTP_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 FREQ_TOL = 1e-9
+UNITARY_TOL = 1e-10
 
 
 def _check_dims(dim_in: int, dim_out: int):
@@ -457,8 +459,8 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError(f"unitary must be square, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise ValidationError("matrix is not unitary to 1e-10")
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary to {UNITARY_TOL:.0e}")
     return channel_from_kraus([u], u.shape[0], u.shape[0])
 
 

@@ -44,7 +44,9 @@ def matrix_from_json(doc) -> np.ndarray:
         raise ValidationError(f"'re' and 'im' must be equal-shape matrices, got {re.shape} vs {im.shape}")
     if re.shape[0] != doc["dim"]:
         raise ValidationError(f"'dim' is {doc['dim']} but 're' has {re.shape[0]} rows")
-    return re + 1j * im
+    mat = np.empty(re.shape, dtype=complex)  # re + 1j * im would turn -0.0 into 0.0
+    mat.real, mat.imag = re, im
+    return mat
 
 
 def density_from_json(doc) -> DensityMatrix:

@@ -3,13 +3,12 @@
 The quantum quantity is F = tr(rho_dot Gamma^{-1} rho_dot) with
 rho_dot = i[H, rho] and Gamma the symmetrized product a -> (rho a + a rho)/2;
 Gamma is inverted on its support only, which makes F well defined for
-rank-deficient states.  A variational characterization,
+rank-deficient states.  Equivalently,
 
     F = sup_A (tr(rho_dot A))^2 / tr(rho A^2)   over Hermitian A,
 
-is implemented as an independent cross-check: the supremum is attained at the
-symmetric logarithmic derivative, which the search always includes as one
-restart.
+and the supremum is attained at the symmetric logarithmic derivative L, so no
+observable read off the clock yields more timing information than F.
 
 Two constants fix the numerical conventions: eigenvalue pairs with
 p_k + p_l <= ``SLD_CUTOFF`` form the kernel of the pseudo-inverse, and timing
@@ -26,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, SupportError, ValidationError
-from .states import ClockSystem
+from .states import TRACE_TOL, ClockSystem
 
 SLD_CUTOFF = 1e-12
 F_FLOOR = 1e-12
@@ -71,72 +70,6 @@ def qfi(clock: ClockSystem) -> SldResult:
     return SldResult(sld=sld, fisher_info=fisher, kernel_dim=int(np.count_nonzero(~keep)))
 
 
-@dataclass(frozen=True)
-class VariationalResult:
-    value: float
-    argmax: np.ndarray
-
-
-def _rayleigh(rdot: np.ndarray, rho: np.ndarray, a: np.ndarray) -> float | None:
-    num = float(np.real(np.trace(rdot @ a)))
-    den = float(np.real(np.trace(rho @ a @ a)))
-    if den <= 1e-14 * max(1.0, float(np.abs(a).max()) ** 2):
-        return None
-    return num * num / den
-
-
-def variational_qfi(
-    clock: ClockSystem,
-    restarts: int = 8,
-    iterations: int = 150,
-    seed=0,
-) -> VariationalResult:
-    """Maximize (tr(rho_dot A))^2 / tr(rho A^2) over Hermitian A.
-
-    Seeded random restarts plus backtracking gradient ascent; the closed-form
-    SLD is always included as one restart, so the best value certifies the
-    pseudo-inverse computation rather than depending on search luck.
-    Candidates with vanishing denominator are discarded.
-    """
-    dim = clock.dim
-    rho = clock.state.entries
-    rdot = rho_dot(clock)
-    rng = np.random.default_rng(seed)
-
-    candidates = [qfi(clock).sld]
-    for _ in range(max(0, restarts)):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        candidates.append((g + g.conj().T) / 2)
-
-    best_value = 0.0
-    best_arg = np.zeros((dim, dim), dtype=complex)
-    scale = max(1.0, float(np.abs(rdot).max()))
-    for a in candidates:
-        value = _rayleigh(rdot, rho, a)
-        if value is None:
-            continue
-        step = 0.1 / scale
-        for _ in range(max(0, iterations)):
-            num = float(np.real(np.trace(rdot @ a)))
-            den = float(np.real(np.trace(rho @ a @ a)))
-            if den <= 0.0:
-                break
-            grad = (2.0 * num / den) * rdot - (num * num / (den * den)) * (rho @ a + a @ rho)
-            trial = a + step * grad
-            trial_value = _rayleigh(rdot, rho, trial)
-            if trial_value is not None and trial_value > value:
-                a, value = trial, trial_value
-                step *= 1.2
-            else:
-                step *= 0.5
-                if step < 1e-12 / scale:
-                    break
-        if value > best_value:
-            best_value = value
-            best_arg = a / np.sqrt(max(float(np.real(np.trace(rho @ a @ a))), 1e-300))
-    return VariationalResult(value=best_value, argmax=best_arg)
-
-
 class ClassicalSignalFamily:
     """Discrete probability distributions over fixed sample points, indexed by time.
 
@@ -162,7 +95,7 @@ class ClassicalSignalFamily:
         if not (p.min() >= 0):
             raise ValidationError(f"negative or NaN probability {p.min():.3e} at t={t!r}")
         total = p.sum()
-        if not (abs(total - 1.0) <= 1e-10):
+        if not (abs(total - 1.0) <= TRACE_TOL):
             raise ValidationError(f"probabilities sum to {total!r} at t={t!r}")
         return p
 

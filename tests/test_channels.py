@@ -750,6 +750,17 @@ def test_unitary_channel_rejects_non_unitary():
         unitary_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+def test_unitary_channel_at_the_unitary_tolerance(scale, ok):
+    # U†U − I = diag(0, scale * UNITARY_TOL) up to rounding
+    u = np.diag([1.0, np.sqrt(1.0 + scale * channels.UNITARY_TOL)])
+    if ok:
+        assert unitary_channel(u).kraus.shape == (1, 2, 2)
+    else:
+        with pytest.raises(ValidationError, match="not unitary to 1e-10"):
+            unitary_channel(u)
+
+
 def test_twirl_handles_exactly_degenerate_spectra():
     h_in = Hamiltonian(np.diag([1.0, 1.0, 2.0]))
     h_out = Hamiltonian(np.diag([0.0, 1.0, 1.0, 3.0]))

@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -497,6 +499,26 @@ def test_readme_cli_lines_parse():
     lines = [line for line in readme.splitlines() if line.startswith("qclock ")]
     parser = cli._build_parser()
     assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == set(_subcommands())
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
+    assert blocks
+    for code in blocks:
+        # conftest.py puts the package's source directory on PYTHONPATH
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_module_table_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `qclock.")]
+    assert len(rows) == 7
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            assert hasattr(module, name), f"README names {module.__name__}.{name}, which does not exist"
 
 
 def test_console_entry_point_runs_in_subprocess(plus_clock_file):

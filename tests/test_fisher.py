@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclock import (
+    ClassicalSignalFamily,
     ClockSystem,
     DensityMatrix,
     DomainError,
@@ -21,9 +22,10 @@ from qclock import (
     random_hamiltonian,
     rho_dot,
     time_uncertainty,
-    variational_qfi,
 )
 from qclock.fisher import F_FLOOR
+from qclock.states import TRACE_TOL
+from reference import lyapunov_fisher, random_observable, rayleigh
 
 
 def plus_clock():
@@ -34,14 +36,6 @@ def plus_clock():
 def random_clock(dim, rank, seed):
     rng = np.random.default_rng(seed)
     return ClockSystem(random_density(dim, rank, rng), random_hamiltonian(dim, rng))
-
-
-def rayleigh(clock, a):
-    """Independent evaluation of the variational quotient for a trial observable."""
-    rdot = rho_dot(clock)
-    num = np.trace(rdot @ a).real
-    den = np.trace(clock.state.entries @ a @ a).real
-    return num * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +147,39 @@ def test_qfi_convex_under_mixing():
 
 
 # ---------------------------------------------------------------------------
-# variational cross-check
+# cross-check against the test-only Lyapunov solve and Rayleigh quotient
 # ---------------------------------------------------------------------------
 
 
-def test_variational_plus_state():
-    result = variational_qfi(plus_clock(), restarts=4, iterations=100, seed=1)
-    assert result.value == pytest.approx(1.0, abs=1e-4)
+def test_reference_plus_state():
+    assert lyapunov_fisher(plus_clock()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_variational_zero_for_commuting_clock():
+def test_reference_zero_for_commuting_clock():
     clock = ClockSystem(DensityMatrix(np.diag([0.7, 0.3])), Hamiltonian(np.diag([0.0, 1.0])))
-    assert variational_qfi(clock, restarts=4, iterations=50, seed=2).value == 0.0
+    assert lyapunov_fisher(clock) == 0.0
+    rng = np.random.default_rng(2)
+    assert all(rayleigh(clock, random_observable(rng, 2)) == 0.0 for _ in range(20))
 
 
-def test_variational_matches_qfi_on_random_mixed_clock():
+def test_reference_matches_qfi_on_random_mixed_clock():
     clock = random_clock(4, 2, seed=3)
     f = qfi(clock).fisher_info
-    result = variational_qfi(clock, restarts=6, iterations=150, seed=3)
-    assert abs(result.value - f) <= 1e-4 * f
-    assert result.value <= f + 1e-8
+    assert abs(lyapunov_fisher(clock) - f) <= 1e-10 * f
 
 
-def test_variational_never_exceeds_qfi_on_random_observables():
+def test_random_observables_never_exceed_qfi():
     clock = random_clock(3, 3, seed=6)
     f = qfi(clock).fisher_info
     rng = np.random.default_rng(99)
     for _ in range(100):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a = (g + g.conj().T) / 2
-        assert rayleigh(clock, a) <= f + 1e-8
+        assert rayleigh(clock, random_observable(rng, 3)) <= f + 1e-8
 
 
-def test_variational_argmax_attains_reported_value():
+def test_rayleigh_quotient_at_the_sld_equals_qfi():
     clock = random_clock(4, 3, seed=21)
-    result = variational_qfi(clock, restarts=4, iterations=100, seed=21)
-    assert rayleigh(clock, result.argmax) == pytest.approx(result.value, rel=1e-9)
+    result = qfi(clock)
+    assert rayleigh(clock, result.sld) == pytest.approx(result.fisher_info, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +203,19 @@ def test_classical_family_rejects_nan_probabilities():
     family = moving_gaussian_family(1.0, 1.0, -5, 5, 101, center=math.nan)
     with pytest.raises(ValidationError):
         classical_fisher(family, 0.0)
+
+
+@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_classical_family_sum_check_at_the_trace_tolerance(scale, ok, sign):
+    family = ClassicalSignalFamily(
+        [0.0, 1.0], lambda t: np.array([0.5, 0.5 + sign * scale * TRACE_TOL])
+    )
+    if ok:
+        family.density_at(0.0)
+    else:
+        with pytest.raises(ValidationError, match="sum to"):
+            family.density_at(0.0)
 
 
 def test_classical_moving_signal_matches_analytic_value():

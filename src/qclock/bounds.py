@@ -424,8 +424,8 @@ def sweep(config: dict, seed=None) -> SweepResult:
     comes only from the ``seed`` argument; a ``seed`` field in the config is
     not read.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"sweep needs an integer seed argument (--seed), got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"sweep needs a non-negative integer seed argument (--seed), got {seed!r}")
     cfg = _normalize_config(config)
     samples = cfg["samples"]
     sample_fn = _copy_bound_sample if cfg["experiment"] == "copy_bound" else _monotonicity_sample

@@ -27,6 +27,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:  # NumPy's generators take only non-negative seeds
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qclock", description=__doc__, allow_abbrev=False)
@@ -61,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--quantum", type=float)
     p.add_argument("--dim", type=int)
     p.add_argument("--rank", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
     p = add("check-channel", _cmd_check_channel, "CPTP (and optionally covariance) validation")
     p.add_argument("--channel", required=True)
@@ -80,7 +86,7 @@ def _build_parser() -> _Parser:
     p = add("decompose", _cmd_decompose, "common invariant subspaces and block traces of two states")
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     p = add("broadcastable", _cmd_broadcastable, "pairwise commutativity of a state family")
     p.add_argument("--states", nargs="+", required=True)
@@ -102,7 +108,7 @@ def _build_parser() -> _Parser:
 
     p = add("sweep", _cmd_sweep, "seeded Monte-Carlo sweep of copy-bound or monotonicity checks")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--format", choices=["json", "csv"])
 
     return parser

@@ -56,6 +56,7 @@ NULLSPACE_RTOL = 1e-10
 GROUP_GAP_FACTOR = 1e-7
 FLAT_RTOL = 1e-12
 EIGENBASIS_MARGIN = 20.0
+DRAW_GAP_MARGIN = 1e4
 MAX_REDRAWS = 5
 DISTINGUISH_TOL = 1e-9
 COMMUTE_TOL = 1e-10
@@ -64,6 +65,11 @@ COMMUTE_TOL = 1e-10
 def _is_flat(w: np.ndarray) -> bool:
     """True when an ascending spectrum is constant up to float noise."""
     return float(w[-1] - w[0]) <= FLAT_RTOL * max(1.0, float(np.abs(w).max()))
+
+
+def _eigh_noise(w: np.ndarray) -> float:
+    """d * eps * max|w|, the scale of eigh's rounding in the ascending eigenvalues w."""
+    return w.size * np.finfo(float).eps * float(np.abs(w).max())
 
 
 def _block_hermitian_basis(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,11 +105,10 @@ def _eigenbasis_blocks(w: np.ndarray) -> list[np.ndarray]:
     this reaches the null-space cutoff are merged.  Merging more only adds
     unknowns.
     """
-    noise = w.size * np.finfo(float).eps * float(np.abs(w).max())
-    return _split_at_gaps(w, EIGENBASIS_MARGIN * noise / NULLSPACE_RTOL)
+    return _split_at_gaps(w, EIGENBASIS_MARGIN * _eigh_noise(w) / NULLSPACE_RTOL)
 
 
-def _commutant_basis(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Basis (k, d, d) of the Hermitian X with [X, rho1] = [X, rho2] = 0.
 
     Solved in the eigenbasis of the state with the fewer in-block unknowns as
@@ -112,21 +117,20 @@ def _commutant_basis(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     """
     # a flat state commutes with every X: it constrains nothing, and its
     # rounding noise could sit above a cutoff set by the other state's spread
-    live = [(rho, *np.linalg.eigh(rho)) for rho in (rho1, rho2)]
-    live = [(rho, w, v) for rho, w, v in live if not _is_flat(w)]
+    live = [rho for rho in (rho1, rho2) if not _is_flat(rho.eigenvalues)]
     if not live:
-        return _block_hermitian_basis([np.arange(rho1.shape[0])])[0]
-    scale = float(np.hypot.reduce([w[-1] - w[0] for _, w, _ in live]))
-    groupings = [_eigenbasis_blocks(w) for _, w, _ in live]
+        return _block_hermitian_basis([np.arange(rho1.dim)])[0]
+    scale = float(np.hypot.reduce([rho.eigenvalues[-1] - rho.eigenvalues[0] for rho in live]))
+    groupings = [_eigenbasis_blocks(rho.eigenvalues) for rho in live]
     unknowns = [sum(g.size ** 2 for g in groups) for groups in groupings]
     side = int(np.argmin(unknowns))  # ties go to rho1
-    _, w, v = live[side]
+    w, v = live[side].eigenvalues, live[side].eigenvectors
     units, k, l = _block_hermitian_basis(groupings[side])
     # X -> [X, diag(w)] maps the units to mutually orthogonal matrices of norm
     # |w_k - w_l|: an n x n diagonal has the same Gram matrix as their 2 d^2 real rows
     rows = [np.diag(np.abs(w[k] - w[l]))]
-    for rho, _, _ in live[:side] + live[side + 1:]:
-        other = v.conj().T @ rho @ v
+    for rho in live[:side] + live[side + 1:]:
+        other = v.conj().T @ rho.entries @ v
         cross = (units @ other - other @ units).reshape(len(units), -1)
         rows += [cross.real.T, cross.imag.T]
     stacked = np.concatenate(rows)  # (n + 2 d^2) x n, or n x n with one state left
@@ -183,14 +187,18 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
     proportional to the identity constrains nothing and is left out of that
     solve; when both are, every Hermitian matrix is in the commutant (see the
     module docstring).  Each candidate decomposition is certified by checking
-    invariance of every subspace under both states; uncertified draws are
-    retried up to MAX_REDRAWS times before giving up.
+    invariance of every subspace under both states, and by finding no step
+    inside an eigenvalue group wider than ``DRAW_GAP_MARGIN`` times eigh's
+    noise: such a group may join two blocks whose random eigenvalues nearly
+    coincide, and their union is invariant too (the margin leaves room for the
+    commutant basis's own error, ~1e3 times that noise near the null-space
+    cutoff).  Uncertified draws are retried up to MAX_REDRAWS times.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(f"state dims differ: {rho1.dim} vs {rho2.dim}")
     dim = rho1.dim
     a, b = rho1.entries, rho2.entries
-    commutant = _commutant_basis(a, b)
+    commutant = _commutant_basis(rho1, rho2)
     rng = np.random.default_rng(seed)
     eye = np.eye(dim)
 
@@ -206,7 +214,8 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
             for rho in (a, b):
                 residual = max(residual, float(np.abs((eye - proj) @ rho @ proj).max()))
         worst = residual if worst is None else min(worst, residual)
-        if residual <= INVARIANCE_TOL:
+        merged = max((float(np.diff(w[g]).max()) for g in groups if g.size > 1), default=0.0)
+        if residual <= INVARIANCE_TOL and merged <= DRAW_GAP_MARGIN * _eigh_noise(w):
             traces_a = np.array([float(np.real(np.trace(s.conj().T @ a @ s))) for s in subspaces])
             traces_b = np.array([float(np.real(np.trace(s.conj().T @ b @ s))) for s in subspaces])
             gaps = np.abs(traces_a - traces_b)

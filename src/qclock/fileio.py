@@ -16,7 +16,6 @@ infinities appear as ``inf``.
 """
 from __future__ import annotations
 
-import json
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -35,14 +34,24 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     return {"dim": mat.shape[0], "re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
+def _dimension(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer and not a boolean; the constructors check its range."""
+    if type(doc[key]) is not int:
+        raise ValidationError(f"'{key}' must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or not {"dim", "re", "im"} <= set(doc):
         raise ValidationError("matrix document must have keys 'dim', 're', 'im'")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
+    try:
+        re = np.asarray(doc["re"], dtype=float)
+        im = np.asarray(doc["im"], dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
+        raise ValidationError(f"'re' and 'im' must be matrices of numbers: {exc}")
     if re.ndim != 2 or re.shape != im.shape:
         raise ValidationError(f"'re' and 'im' must be equal-shape matrices, got {re.shape} vs {im.shape}")
-    if re.shape[0] != doc["dim"]:
+    if re.shape[0] != _dimension(doc, "dim"):
         raise ValidationError(f"'dim' is {doc['dim']} but 're' has {re.shape[0]} rows")
     mat = np.empty(re.shape, dtype=complex)  # re + 1j * im would turn -0.0 into 0.0
     mat.real, mat.imag = re, im
@@ -81,28 +90,8 @@ def channel_to_json(channel: QuantumChannel) -> dict:
 def channel_from_json(doc) -> QuantumChannel:
     if not isinstance(doc, dict) or not {"dim_in", "dim_out", "choi"} <= set(doc):
         raise ValidationError("channel document must have keys 'dim_in', 'dim_out', 'choi'")
-    return QuantumChannel(int(doc["dim_in"]), int(doc["dim_out"]), matrix_from_json(doc["choi"]))
-
-
-def _nonfinite_text(value: float) -> str:
-    return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-
-
-def json_safe(value):
-    """Recursively replace non-finite floats so documents stay standard JSON."""
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return _nonfinite_text(value)
-    return value
-
-
-class _Unsupported(Exception):
-    """A value the one-pass encoder leaves to the stdlib path."""
+    dims = _dimension(doc, "dim_in"), _dimension(doc, "dim_out")
+    return QuantumChannel(*dims, matrix_from_json(doc["choi"]))
 
 
 def _encode_scalar(value) -> str:
@@ -110,7 +99,7 @@ def _encode_scalar(value) -> str:
     if kind is float:
         if math.isfinite(value):
             return float.__repr__(value)
-        return '"' + _nonfinite_text(value) + '"'
+        return '"nan"' if math.isnan(value) else ('"inf"' if value > 0 else '"-inf"')
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
@@ -123,12 +112,12 @@ def _encode_scalar(value) -> str:
         item = value.item()
         if type(item) is float or type(item) is int:
             return _encode_scalar(item)
-    raise _Unsupported
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _encode(value, indent: str) -> str:
-    """``value`` as ``json.dumps(json_safe(value), indent=2)`` writes it,
-    where ``indent`` is a newline plus the enclosing container's indent."""
+    """``value`` in the frozen layout, where ``indent`` is a newline plus the
+    enclosing container's indent."""
     kind = type(value)
     if kind is list or kind is tuple:
         if not value:
@@ -151,7 +140,7 @@ def _encode(value, indent: str) -> str:
         parts = []
         for key, item in value.items():
             if type(key) is not str:
-                raise _Unsupported
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     return _encode_scalar(value)
@@ -160,14 +149,12 @@ def _encode(value, indent: str) -> str:
 def dumps(doc) -> str:
     """The frozen layout of every JSON document, in one pass.
 
-    Byte for byte ``json.dumps(json_safe(doc), indent=2)`` plus a newline.  A
-    document holding anything other than str-keyed dicts, lists, tuples, str,
-    int, float, bool, None and NumPy float/int scalars goes through that
-    expression whole, so its output or exception is the stdlib's."""
-    try:
-        return _encode(doc, "\n") + "\n"
-    except _Unsupported:
-        return json.dumps(json_safe(doc), indent=2) + "\n"
+    Documents are built from str-keyed dicts, lists, tuples, str, int, float,
+    bool, None and NumPy float/int scalars, and come out byte for byte as
+    ``json.dumps(doc, indent=2)`` plus a newline would write them once their
+    non-finite floats are replaced by strings.  There is no other path: any
+    other value, or a dict key that is not a str, raises ``TypeError``."""
+    return _encode(doc, "\n") + "\n"
 
 
 def _csv_cell(value) -> str:

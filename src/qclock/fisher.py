@@ -58,7 +58,7 @@ def qfi(clock: ClockSystem) -> SldResult:
     pairs.
     """
     rdot = rho_dot(clock)
-    p, v = np.linalg.eigh(clock.state.entries)
+    p, v = clock.state.eigenvalues, clock.state.eigenvectors
     r_eig = v.conj().T @ rdot @ v
     denom = p[:, None] + p[None, :]
     keep = denom > SLD_CUTOFF
@@ -100,12 +100,6 @@ class ClassicalSignalFamily:
         return p
 
 
-def _grid(grid_min: float, grid_max: float, points: int) -> np.ndarray:
-    if not (grid_max > grid_min) or points < 2:
-        raise DomainError("grid needs max > min and at least 2 points")
-    return np.linspace(grid_min, grid_max, int(points))
-
-
 def gaussian_delay_family(
     delay_std: float,
     grid_min: float,
@@ -117,17 +111,12 @@ def gaussian_delay_family(
 
     The observable is the arrival time; given true time t it is distributed
     as a Gaussian centered at center + t with standard deviation ``delay_std``,
-    so the timing information is 1/delay_std^2.
+    so the timing information is 1/delay_std^2: the moving Gaussian at unit
+    velocity.
     """
     if not (delay_std > 0):
         raise DomainError(f"delay_std must be positive, got {delay_std!r}")
-    x = _grid(grid_min, grid_max, points)
-
-    def density(t: float) -> np.ndarray:
-        z = np.exp(-0.5 * ((x - center - t) / delay_std) ** 2)
-        return z / z.sum()
-
-    return ClassicalSignalFamily(x, density)
+    return moving_gaussian_family(1.0, delay_std, grid_min, grid_max, points, center)
 
 
 def moving_gaussian_family(
@@ -144,7 +133,9 @@ def moving_gaussian_family(
     """
     if not (position_std > 0):
         raise DomainError(f"position_std must be positive, got {position_std!r}")
-    x = _grid(grid_min, grid_max, points)
+    if not (grid_max > grid_min) or points < 2:
+        raise DomainError("grid needs max > min and at least 2 points")
+    x = np.linspace(grid_min, grid_max, int(points))
 
     def density(t: float) -> np.ndarray:
         z = np.exp(-0.5 * ((x - center - velocity * t) / position_std) ** 2)

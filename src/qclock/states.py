@@ -1,9 +1,10 @@
 """Clock states, Hamiltonians, and unitary time evolution.
 
 A clock is a pair (rho, H) on one finite-dimensional Hilbert space, with
-hbar = 1 so times are measured in inverse-energy units.  All values are
-immutable after construction and every operation is a pure function, so
-shared instances are safe to use concurrently.
+hbar = 1 so times are measured in inverse-energy units.  Both matrices keep
+the spectral decomposition that validated them.  All values are immutable
+after construction and every operation is a pure function, so shared
+instances are safe to use concurrently.
 """
 from __future__ import annotations
 
@@ -78,19 +79,53 @@ def _split_at_gaps(sorted_values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix: a clock's statistical state."""
+class _Spectral:
+    """Hermitian matrix with the spectral decomposition ``eigh`` gave it once.
+
+    Eigenvalues are stored ascending with the eigenvectors in ``eigh``'s
+    order.  ``eigh`` is deterministic for a given matrix, so repeated
+    constructions yield identical decompositions; inside a degenerate
+    eigenspace the basis is whichever one ``eigh`` returns.
+    """
 
     def __init__(self, entries):
-        self.entries = _hermitize(entries, "density matrix")
-        self.dim = self.entries.shape[0]
-        eigs = np.linalg.eigvalsh(self.entries)
-        if eigs[0] < -PSD_TOL:
+        entries = _hermitize(entries, self._what)
+        self._keep(entries, *np.linalg.eigh(entries))
+
+    @classmethod
+    def _from_decomposition(cls, entries, eigenvalues, eigenvectors):
+        """An instance whose decomposition the caller already knows, so no ``eigh`` runs.
+
+        ``entries`` are still checked and symmetrized, and the type's checks run on the
+        given eigenvalues; the caller vouches that they ascend with orthonormal eigenvectors.
+        """
+        obj = cls.__new__(cls)
+        obj._keep(_hermitize(entries, cls._what), eigenvalues, eigenvectors)
+        return obj
+
+    def _keep(self, entries, eigenvalues, eigenvectors):
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        self.entries, self.dim = entries, entries.shape[0]
+        self.eigenvalues, self.eigenvectors = eigenvalues, eigenvectors
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class DensityMatrix(_Spectral):
+    """Hermitian, positive-semidefinite, unit-trace matrix: a clock's statistical state."""
+
+    _what = "density matrix"
+
+    def _keep(self, entries, eigenvalues, eigenvectors):
+        super()._keep(entries, eigenvalues, eigenvectors)
+        if eigenvalues[0] < -PSD_TOL:
             raise ValidationError(
-                f"density matrix is not positive semidefinite: min eigenvalue {eigs[0]:.3e}",
-                detail={"min_eigenvalue": float(eigs[0])},
+                f"density matrix is not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}",
+                detail={"min_eigenvalue": float(eigenvalues[0])},
             )
-        tr = self.entries.trace().real
+        tr = entries.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"density matrix trace {tr!r} differs from 1 by more than {TRACE_TOL:.1e}",
@@ -101,51 +136,16 @@ class DensityMatrix:
         """tr(rho^2); equals 1 for pure states."""
         return float(np.real(np.trace(self.entries @ self.entries)))
 
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
 
+class Hamiltonian(_Spectral):
+    """Hermitian generator of clock evolution."""
 
-class Hamiltonian:
-    """Hermitian generator of clock evolution with a cached spectral decomposition.
-
-    Eigenvalues are stored ascending with the eigenvectors in ``eigh``'s
-    order.  ``eigh`` is deterministic for a given matrix, so repeated
-    constructions yield identical decompositions; inside a degenerate
-    eigenspace the basis is whichever one ``eigh`` returns.
-    """
-
-    def __init__(self, entries):
-        self.entries = _hermitize(entries, "hamiltonian")
-        self.dim = self.entries.shape[0]
-        self._keep_decomposition(*np.linalg.eigh(self.entries))
-
-    @classmethod
-    def _from_decomposition(cls, entries, eigenvalues, eigenvectors) -> Hamiltonian:
-        """A Hamiltonian whose decomposition the caller already knows, so no ``eigh`` runs.
-
-        ``entries`` are still checked and symmetrized; the caller vouches that
-        the eigenvalues ascend and the eigenvectors are an orthonormal basis
-        of matching eigenvectors.
-        """
-        h = cls.__new__(cls)
-        h.entries = _hermitize(entries, "hamiltonian")
-        h.dim = h.entries.shape[0]
-        h._keep_decomposition(eigenvalues, eigenvectors)
-        return h
-
-    def _keep_decomposition(self, eigenvalues, eigenvectors):
-        eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
+    _what = "hamiltonian"
 
     def propagator(self, t: float) -> np.ndarray:
-        """Unitary exp(-iHt) from the cached decomposition."""
+        """Unitary exp(-iHt) from the kept decomposition."""
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-
-    def __repr__(self):
-        return f"Hamiltonian(dim={self.dim})"
 
 
 class ClockSystem:
@@ -171,11 +171,13 @@ class EnergyMoments(NamedTuple):
 
 
 def evolve(clock: ClockSystem, t: float) -> DensityMatrix:
-    """Conjugate the clock state by exp(-iHt)."""
+    """Conjugate the clock state by exp(-iHt); the spectrum is kept and the eigenvectors rotated."""
     if not np.isfinite(t):
         raise DomainError(f"time must be finite, got {t!r}")
-    u = clock.hamiltonian.propagator(t)
-    return DensityMatrix(u @ clock.state.entries @ u.conj().T)
+    u, rho = clock.hamiltonian.propagator(t), clock.state
+    return DensityMatrix._from_decomposition(
+        u @ rho.entries @ u.conj().T, rho.eigenvalues, u @ rho.eigenvectors
+    )
 
 
 def energy_moments(clock: ClockSystem) -> EnergyMoments:

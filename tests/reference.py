@@ -1,10 +1,17 @@
-"""Test-only reference values for the SLD timing information.
+"""Test-only reference implementations.
 
 Nothing here imports ``qclock.fisher``: the generator i[H, rho] is formed
 inline and the SLD comes from a least-squares solve of the vectorised
 Lyapunov equation instead of the eigenbasis pseudo-inverse, so agreement with
 ``qfi`` is a check by an independent route.
+
+``stdlib_dumps`` writes a document with the standard library's encoder; its
+bytes define the frozen JSON layout that ``qclock.fileio.dumps`` writes in
+one pass.
 """
+import json
+import math
+
 import numpy as np
 
 
@@ -38,3 +45,21 @@ def rayleigh(clock, a):
 def random_observable(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def json_safe(value):
+    """Recursively replace non-finite floats by "nan", "inf" or "-inf" so documents stay standard JSON."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
+def stdlib_dumps(doc) -> str:
+    """The expression that defines the frozen layout; the oracle for fileio.dumps."""
+    return json.dumps(json_safe(doc), indent=2) + "\n"

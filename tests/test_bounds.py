@@ -414,6 +414,11 @@ def test_sweep_config_errors_name_the_field():
         sweep(MONO_CFG)
 
 
+def test_sweep_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="non-negative integer seed"):
+        sweep(MONO_CFG, seed=-1)
+
+
 @pytest.mark.parametrize(
     "cfg, field",
     [

@@ -30,6 +30,7 @@ from qclock import (
     covariant_twirl,
     total_hamiltonian,
 )
+from reference import json_safe
 
 
 def run_cli(argv):
@@ -40,7 +41,7 @@ def run_cli(argv):
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(fileio.json_safe(doc)))
+    path.write_text(json.dumps(json_safe(doc)))
     return str(path)
 
 
@@ -204,7 +205,7 @@ def test_decompose_document_matches_library_report(tmp_path):
         "witness_index": report.witness_index,
         "witness_projector": fileio.matrix_to_json((proj + proj.conj().T) / 2),
     }
-    assert json.loads(out) == json.loads(json.dumps(fileio.json_safe(expected)))
+    assert json.loads(out) == json.loads(json.dumps(json_safe(expected)))
 
 
 def test_broadcastable_subcommand(tmp_path):
@@ -347,6 +348,53 @@ def test_non_finite_clock_file_exits_2(tmp_path):
         code, out = run_cli([command, "--clock", str(clock_path)])
         assert code == 2
         assert json.loads(out)["code"] == "invalid-matrix"
+
+
+def _exits_invalid_matrix(argv, match):
+    code, out = run_cli(argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["code"] == "invalid-matrix"
+    assert match in doc["message"]
+
+
+@pytest.fixture
+def identity_channel_file(tmp_path):
+    return write_json(tmp_path / "id.json", fileio.channel_to_json(identity_channel(2)))
+
+
+def test_matrix_with_ragged_rows_exits_2(tmp_path, identity_channel_file):
+    state = write_json(tmp_path / "s.json", {"dim": 2, "re": [[0.5, 0.0], [0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+    _exits_invalid_matrix(["apply", "--channel", identity_channel_file, "--state", state], "matrices of numbers")
+
+
+def test_matrix_with_a_string_entry_exits_2(tmp_path, identity_channel_file):
+    state = write_json(tmp_path / "s.json", {"dim": 2, "re": [[0.5, "a"], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+    _exits_invalid_matrix(["apply", "--channel", identity_channel_file, "--state", state], "matrices of numbers")
+
+
+@pytest.mark.parametrize("dim_in", ["x", 2.7, True], ids=["string", "float", "bool"])
+def test_channel_with_a_non_integer_dimension_exits_2(tmp_path, dim_in):
+    # 2.7 used to be truncated to 2 and true read as 1
+    doc = fileio.channel_to_json(identity_channel(2))
+    channel = write_json(tmp_path / "ch.json", dict(doc, dim_in=dim_in))
+    _exits_invalid_matrix(["check-channel", "--channel", channel], "'dim_in' must be an integer")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--state-a", "a.json", "--state-b", "b.json", "--seed", "-1"],
+        ["sweep", "--config", "cfg.json", "--seed", "-1"],
+        ["make-state", "--kind", "random-density", "--dim", "2", "--rank", "1", "--seed", "-1"],
+    ],
+    ids=["decompose", "sweep", "make-state"],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv)
+    assert info.value.code == 64
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_reused_parser_leaks_no_state_between_runs(tmp_path):

@@ -447,6 +447,44 @@ def test_planted_blocks_match_full_space(d, differ):
     assert report.distinguishable == differ
 
 
+def test_draw_with_two_blocks_closer_than_the_group_gap_is_redrawn(monkeypatch):
+    # three planted blocks; the first draw of the commutant gives two of them
+    # eigenvalues 1e-9 apart, inside GROUP_GAP_FACTOR * spread = 2e-7 yet far
+    # above eigh's noise.  Grouping that draw merges the two blocks, and the
+    # merged subspace is still invariant, so only a redraw finds all three
+    rng = np.random.default_rng(31)
+    sizes = (2, 2, 2)
+    u = random_unitary(rng, 6)
+    rho1 = rotated(u, block_diag(*[w * random_density(n, n, rng).entries for w, n in zip((0.2, 0.3, 0.5), sizes)]))
+    rho2 = rotated(u, block_diag(*[w * random_density(n, n, rng).entries for w, n in zip((0.5, 0.2, 0.3), sizes)]))
+    target = u @ np.diag(np.repeat([1.0, 1.0 + 1e-9, 3.0], sizes)) @ u.conj().T
+    recorded = {}
+    commutant_basis, default_rng = distinguish._commutant_basis, np.random.default_rng
+
+    def recording_basis(*args):
+        recorded["basis"] = commutant_basis(*args)
+        return recorded["basis"]
+
+    class FirstDrawNearlyMerges:
+        def __init__(self, seed):
+            self.rng, self.draws = default_rng(seed), 0
+
+        def standard_normal(self, size):
+            self.draws += 1
+            if self.draws > 1:
+                return self.rng.standard_normal(size)
+            # coordinates of the target in the orthonormal Hermitian basis
+            return np.einsum("kij,ji->k", recorded["basis"], target).real
+
+    monkeypatch.setattr(distinguish, "_commutant_basis", recording_basis)
+    monkeypatch.setattr(distinguish.np.random, "default_rng", FirstDrawNearlyMerges)
+    report = common_invariant_decomposition(rho1, rho2, seed=31)
+    assert report.commutant_dim == 3
+    assert len(report.subspaces) == 3
+    assert sorted(s.shape[1] for s in report.subspaces) == [2, 2, 2]
+    assert report.invariance_residual <= distinguish.INVARIANCE_TOL
+
+
 def test_maximally_mixed_partner_uses_the_other_eigenbasis(monkeypatch):
     d = 6
     rng = np.random.default_rng(21)
@@ -460,7 +498,7 @@ def test_maximally_mixed_partner_uses_the_other_eigenbasis(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(distinguish.np.linalg, "svd", recording_svd)
-    distinguish._commutant_basis(rho1.entries, rho2.entries)
+    distinguish._commutant_basis(rho1, rho2)
     # d unknowns from the generic spectrum of rho2, not d^2 from the flat rho1
     assert [shape[1] for shape in shapes] == [d]
     monkeypatch.undo()

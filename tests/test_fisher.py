@@ -193,6 +193,16 @@ def test_classical_gaussian_delay_matches_analytic_value():
     assert abs(f - 4.0) / 4.0 <= 0.01
 
 
+@pytest.mark.parametrize("center", [0.0, -0.3])
+def test_gaussian_delay_family_is_bit_for_bit_the_delayed_gaussian(center):
+    # the density the delay family had before it became the unit-velocity moving family
+    delay_std, x = 0.7, np.linspace(-5.0, 5.0, 401)
+    family = gaussian_delay_family(delay_std, -5.0, 5.0, 401, center=center)
+    for t in (0.0, 0.37, -1.25, 3.0, 1e-9):
+        z = np.exp(-0.5 * ((x - center - t) / delay_std) ** 2)
+        assert family.density_at(t).tobytes() == (z / z.sum()).tobytes()
+
+
 def test_classical_time_independent_family_is_zero():
     family = moving_gaussian_family(velocity=0.0, position_std=1.0, grid_min=-1, grid_max=1, points=101)
     assert classical_fisher(family, t=0.0, dt=1e-4) == 0.0

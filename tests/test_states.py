@@ -15,6 +15,7 @@ from qclock import (
     evolve,
     gaussian_energy_pure_state,
     ladder_hamiltonian,
+    qfi,
     random_density,
     random_hamiltonian,
 )
@@ -155,6 +156,55 @@ def test_evolve_group_law_and_spectrum_preservation():
         spec_before = np.linalg.eigvalsh(clock.state.entries)
         spec_after = np.linalg.eigvalsh(direct.entries)
         assert np.abs(spec_before - spec_after).max() <= 1e-10
+
+
+def test_density_matrix_keeps_eighs_decomposition():
+    rho = random_density(6, 4, seed=12)
+    w, v = np.linalg.eigh(rho.entries)
+    assert rho.eigenvalues.tobytes() == w.tobytes()
+    assert rho.eigenvectors.tobytes() == v.tobytes()
+    for field in ("entries", "eigenvalues", "eigenvectors"):
+        assert not getattr(rho, field).flags.writeable, field
+
+
+def test_evolve_keeps_the_spectrum_and_rotates_the_eigenvectors():
+    rng = np.random.default_rng(13)
+    clock = ClockSystem(random_density(5, 3, rng), random_hamiltonian(5, rng))
+    rho_t = evolve(clock, 0.8)
+    assert np.array_equal(rho_t.eigenvalues, clock.state.eigenvalues)
+    rebuilt = (rho_t.eigenvectors * rho_t.eigenvalues) @ rho_t.eigenvectors.conj().T
+    assert np.abs(rebuilt - rho_t.entries).max() <= 1e-12
+    gram = rho_t.eigenvectors.conj().T @ rho_t.eigenvectors
+    assert np.abs(gram - np.eye(5)).max() <= 1e-12
+
+
+def test_density_matrix_from_a_decomposition_is_still_checked():
+    v = np.eye(2, dtype=complex)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        DensityMatrix._from_decomposition(np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([0.4, 0.6]), v)
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        DensityMatrix._from_decomposition(np.diag([1.2, -0.2]), np.array([-0.2, 1.2]), v)
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix._from_decomposition(np.diag([0.7, 0.4]), np.array([0.4, 0.7]), v)
+
+
+def test_qfi_and_evolve_run_no_eigendecomposition(monkeypatch):
+    clock = ClockSystem(random_density(6, 3, seed=14), random_hamiltonian(6, seed=15))
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    qfi(clock)
+    qfi(ClockSystem(evolve(clock, 1.3), clock.hamiltonian))
+    assert calls == []
+    DensityMatrix(clock.state.entries)  # the wrappers do see the constructor's eigh
+    assert calls == ["eigh"]
 
 
 def test_energy_moments_conserved_along_orbit():

@@ -139,9 +139,9 @@ from .errors import DimensionMismatchError, DomainError, ValidationError
 from .states import (
     DensityMatrix,
     Hamiltonian,
+    _gap_labels,
     _hermitian_deviation,
     _hermitize,
-    _split_at_gaps,
 )
 
 CPTP_TOL = 1e-9
@@ -279,9 +279,10 @@ def _choi_blocks(choi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     labels = _pattern_components(choi != 0)
     sizes = np.bincount(labels, minlength=n)[labels]
     order = np.argsort(sizes * n + labels, kind="stable")
+    counts = np.bincount(_gap_labels(sizes[order], 0))
     stacks = []
-    for group in _split_at_gaps(sizes[order], 0):
-        idx = order[group].reshape(-1, sizes[order[group[0]]])
+    for group in np.split(order, np.cumsum(counts)[:-1]):
+        idx = group.reshape(-1, sizes[group[0]])
         stacks.append((idx, choi[idx[:, :, None], idx[:, None, :]]))
     return stacks
 
@@ -407,8 +408,7 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
     """
     order = np.argsort(nu, kind="stable")
     classes = np.empty(nu.size, dtype=int)
-    for label, group in enumerate(_split_at_gaps(nu[order], freq_tol)):
-        classes[order[group]] = label
+    classes[order] = _gap_labels(nu[order], freq_tol)
     return classes
 
 

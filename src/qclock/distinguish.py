@@ -26,6 +26,20 @@ noise, rotated into the other state's eigenbasis, would otherwise lie above a
 cutoff set by a small spread of the other state.  When both spectra are flat
 the whole Hermitian space is returned, without a solve.
 
+The solve uses half of the commutator map.  [X, rho] is anti-Hermitian for
+Hermitian X and rho, so the real rows of its upper triangle, diagonal
+included, with the off-diagonal rows weighted by sqrt(2), have the same Gram
+matrix as the real rows of all its entries: the same singular values and
+null space from n + d^2 + d rows instead of n + 2 d^2 (n unknowns).  The
+null space fixes the commutant, but the orthonormal basis LAPACK returns for
+it is one rotation among many, so a seeded draw from it (and with it the
+order of the subspaces) can change with the last bits of the map.
+
+Each draw is certified in one batched pass: the projectors onto all
+candidate subspaces come from one mask of the group labels, the invariance
+residual of every subspace from the products rho P and P rho P, and the
+block weights are the traces of those same rho P.
+
 For a continuously evolving clock the relevant subspaces are the spectral
 blocks of the Hamiltonian, and the block weights are conserved in time; that
 conservation is what forbids reading a clock without disturbing it, and
@@ -49,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NumericalDegeneracyError
-from .states import ClockSystem, DensityMatrix, _split_at_gaps, evolve
+from .states import ClockSystem, DensityMatrix, _gap_labels, evolve
 
 INVARIANCE_TOL = 1e-9
 NULLSPACE_RTOL = 1e-10
@@ -72,20 +86,19 @@ def _eigh_noise(w: np.ndarray) -> float:
     return w.size * np.finfo(float).eps * float(np.abs(w).max())
 
 
-def _block_hermitian_basis(groups: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_hermitian_basis(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal Hermitian matrix units (n, d, d) supported inside the diagonal blocks.
 
-    ``groups`` partitions range(d) into consecutive index blocks; n is the sum of
-    the squared block sizes.  A single group gives a basis of all Hermitian d x d
-    matrices.  Also returns the index pair (k, l) each unit is supported on,
-    k == l for the diagonal units.
+    ``labels`` gives the block of each of the d indices, as from
+    :func:`_gap_labels`; n is the sum of the squared block sizes.  Equal labels
+    throughout give a basis of all Hermitian d x d matrices.  Also returns the
+    index pair (k, l) each unit is supported on, k == l for the diagonal units.
     """
-    dim = sum(g.size for g in groups)
-    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-    k, l = np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
+    dim = labels.size
+    diag = np.arange(dim)
+    k, l = np.nonzero((labels[:, None] == labels) & (diag[:, None] < diag))
     n_off = k.size
     units = np.zeros((dim + 2 * n_off, dim, dim), dtype=complex)
-    diag = np.arange(dim)
     units[diag, diag, diag] = 1.0
     sym = dim + np.arange(n_off)
     units[sym, k, l] = units[sym, l, k] = 1.0 / np.sqrt(2.0)
@@ -95,8 +108,8 @@ def _block_hermitian_basis(groups: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     return units, np.concatenate([diag, k, k]), np.concatenate([diag, l, l])
 
 
-def _eigenbasis_blocks(w: np.ndarray) -> list[np.ndarray]:
-    """Groups of a state's ascending eigenvalues inside which the commutant is solved.
+def _eigenbasis_blocks(w: np.ndarray) -> np.ndarray:
+    """Group labels of a state's ascending eigenvalues inside which the commutant is solved.
 
     eigh resolves the eigenvectors of groups a gap g apart only to about
     d * eps * |rho| / g.  A commutant element leaks that far out of the kept
@@ -105,7 +118,7 @@ def _eigenbasis_blocks(w: np.ndarray) -> list[np.ndarray]:
     this reaches the null-space cutoff are merged.  Merging more only adds
     unknowns.
     """
-    return _split_at_gaps(w, EIGENBASIS_MARGIN * _eigh_noise(w) / NULLSPACE_RTOL)
+    return _gap_labels(w, EIGENBASIS_MARGIN * _eigh_noise(w) / NULLSPACE_RTOL)
 
 
 def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
@@ -119,34 +132,42 @@ def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     # rounding noise could sit above a cutoff set by the other state's spread
     live = [rho for rho in (rho1, rho2) if not _is_flat(rho.eigenvalues)]
     if not live:
-        return _block_hermitian_basis([np.arange(rho1.dim)])[0]
+        return _block_hermitian_basis(np.zeros(rho1.dim, dtype=np.intp))[0]
     scale = float(np.hypot.reduce([rho.eigenvalues[-1] - rho.eigenvalues[0] for rho in live]))
     groupings = [_eigenbasis_blocks(rho.eigenvalues) for rho in live]
-    unknowns = [sum(g.size ** 2 for g in groups) for groups in groupings]
+    unknowns = [int((np.bincount(labels) ** 2).sum()) for labels in groupings]
     side = int(np.argmin(unknowns))  # ties go to rho1
     w, v = live[side].eigenvalues, live[side].eigenvectors
     units, k, l = _block_hermitian_basis(groupings[side])
     # X -> [X, diag(w)] maps the units to mutually orthogonal matrices of norm
-    # |w_k - w_l|: an n x n diagonal has the same Gram matrix as their 2 d^2 real rows
+    # |w_k - w_l|: an n x n diagonal has the same Gram matrix as their real rows
     rows = [np.diag(np.abs(w[k] - w[l]))]
+    # with rho made exactly Hermitian, [X, rho] = X rho - (X rho)^dagger is
+    # anti-Hermitian, so its upper triangle, diagonal included, holds all of it;
+    # weighting the off-diagonal entries by sqrt(2) keeps the Gram matrix
+    index = np.arange(rho1.dim)
+    iu, ju = np.nonzero(index[:, None] <= index)
+    weight = np.where(iu == ju, 1.0, np.sqrt(2.0))
     for rho in live[:side] + live[side + 1:]:
         other = v.conj().T @ rho.entries @ v
-        cross = (units @ other - other @ units).reshape(len(units), -1)
+        other = (other + other.conj().T) / 2
+        product = (units.reshape(-1, rho1.dim) @ other).reshape(units.shape)
+        cross = (product[:, iu, ju] - product[:, ju, iu].conj()) * weight
         rows += [cross.real.T, cross.imag.T]
-    stacked = np.concatenate(rows)  # (n + 2 d^2) x n, or n x n with one state left
+    stacked = np.concatenate(rows)  # (n + d^2 + d) x n, or n x n with one state left
     # the right singular vectors of stacked are those of its QR factor R; going
     # through R skips forming the tall left factor (LAPACK's gesdd does the
     # same QR internally, so for the tall map the result is the same)
     _, s, vt = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
     null_rows = vt[s <= NULLSPACE_RTOL * scale]
-    return v @ np.tensordot(null_rows, units, axes=1) @ v.conj().T
+    return v @ (null_rows @ units.reshape(len(units), -1)).reshape(-1, *v.shape) @ v.conj().T
 
 
-def _group_eigenvalues(w: np.ndarray) -> list[np.ndarray]:
-    """Split ascending eigenvalues into groups separated by a spectral-gap threshold."""
+def _group_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Group labels of ascending eigenvalues, split where a gap exceeds a spectral-gap threshold."""
     if _is_flat(w):
-        return [np.arange(w.size)]
-    return _split_at_gaps(w, GROUP_GAP_FACTOR * float(w[-1] - w[0]))
+        return np.zeros(w.size, dtype=np.intp)
+    return _gap_labels(w, GROUP_GAP_FACTOR * float(w[-1] - w[0]))
 
 
 @dataclass(frozen=True)
@@ -192,32 +213,41 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
     noise: such a group may join two blocks whose random eigenvalues nearly
     coincide, and their union is invariant too (the margin leaves room for the
     commutant basis's own error, ~1e3 times that noise near the null-space
-    cutoff).  Uncertified draws are retried up to MAX_REDRAWS times.
+    cutoff).  Uncertified draws are retried up to MAX_REDRAWS times.  When none
+    is certified, the error's detail holds the least invariance residual over
+    the draws (``best_residual``), ``commutant_dim``, and that draw's widest
+    step inside a group (``best_in_group_step``) with its limit
+    (``in_group_step_limit``).
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(f"state dims differ: {rho1.dim} vs {rho2.dim}")
-    dim = rho1.dim
     a, b = rho1.entries, rho2.entries
     commutant = _commutant_basis(rho1, rho2)
+    flat_basis = commutant.reshape(len(commutant), -1)
     rng = np.random.default_rng(seed)
-    eye = np.eye(dim)
 
-    worst = None
+    best = None  # (residual, widest in-group step, its limit) of the draw with the least residual
     for _ in range(1 + MAX_REDRAWS):
-        x = np.tensordot(rng.standard_normal(commutant.shape[0]), commutant, axes=1)
+        x = (rng.standard_normal(len(flat_basis)) @ flat_basis).reshape(a.shape)
         w, v = np.linalg.eigh(x)
-        groups = _group_eigenvalues(w)
-        subspaces = [np.ascontiguousarray(v[:, g]) for g in groups]
-        residual = 0.0
-        for basis_cols in subspaces:
-            proj = basis_cols @ basis_cols.conj().T
-            for rho in (a, b):
-                residual = max(residual, float(np.abs((eye - proj) @ rho @ proj).max()))
-        worst = residual if worst is None else min(worst, residual)
-        merged = max((float(np.diff(w[g]).max()) for g in groups if g.size > 1), default=0.0)
-        if residual <= INVARIANCE_TOL and merged <= DRAW_GAP_MARGIN * _eigh_noise(w):
-            traces_a = np.array([float(np.real(np.trace(s.conj().T @ a @ s))) for s in subspaces])
-            traces_b = np.array([float(np.real(np.trace(s.conj().T @ b @ s))) for s in subspaces])
+        labels = _group_eigenvalues(w)
+        masks = labels == np.arange(labels[-1] + 1)[:, None]
+        projectors = (v * masks[:, None, :]) @ v.conj().T  # one (d, d) projector per group
+        # (1 - P) rho P = rho P - P rho P, and tr(rho P) is the subspace's weight
+        residual, traces = 0.0, []
+        for rho in (a, b):
+            rho_p = rho @ projectors
+            residual = max(residual, float(np.abs(rho_p - projectors @ rho_p).max()))
+            traces.append(rho_p.trace(axis1=1, axis2=2).real)
+        steps = np.diff(w)[np.diff(labels) == 0]
+        step = float(steps.max()) if steps.size else 0.0
+        limit = DRAW_GAP_MARGIN * _eigh_noise(w)
+        if best is None or residual < best[0]:
+            best = (residual, step, limit)
+        if residual <= INVARIANCE_TOL and step <= limit:
+            bounds = np.cumsum(np.bincount(labels))[:-1]
+            subspaces = [np.ascontiguousarray(s) for s in np.split(v, bounds, axis=1)]
+            traces_a, traces_b = traces
             gaps = np.abs(traces_a - traces_b)
             distinguishable = bool(gaps.max() > DISTINGUISH_TOL)
             witness = int(np.argmax(gaps)) if distinguishable else None
@@ -227,12 +257,18 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
                 traces_b=traces_b,
                 distinguishable=distinguishable,
                 witness_index=witness,
-                commutant_dim=int(commutant.shape[0]),
+                commutant_dim=len(commutant),
                 invariance_residual=residual,
             )
+    residual, step, limit = best
     raise NumericalDegeneracyError(
         "could not certify an invariant decomposition after retries",
-        detail={"best_residual": worst, "commutant_dim": int(commutant.shape[0])},
+        detail={
+            "best_residual": residual,
+            "commutant_dim": len(commutant),
+            "best_in_group_step": step,
+            "in_group_step_limit": limit,
+        },
     )
 
 
@@ -271,7 +307,8 @@ def conserved_block_traces(clock: ClockSystem, times) -> BlockTraceReport:
         raise DomainError("need at least one time")
     w = clock.hamiltonian.eigenvalues
     v = clock.hamiltonian.eigenvectors
-    groups = _split_at_gaps(w, DISTINGUISH_TOL)
+    labels = _gap_labels(w, DISTINGUISH_TOL)
+    groups = np.split(np.arange(w.size), np.cumsum(np.bincount(labels))[:-1])
 
     rows = []
     for t in times:

@@ -72,11 +72,16 @@ def _hermitize(entries, what: str) -> np.ndarray:
     return out
 
 
-def _split_at_gaps(sorted_values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Index groups of ascending values, split wherever consecutive values differ by more than gap."""
-    cuts = (np.flatnonzero(np.diff(sorted_values) > gap) + 1).tolist()
-    bounds = [0, *cuts, len(sorted_values)]
-    return [np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+def _gap_labels(sorted_values: np.ndarray, gap: float) -> np.ndarray:
+    """One integer label per ascending value: 0 for the first, one more after each gap.
+
+    A new label starts wherever consecutive values differ by more than ``gap``,
+    so the labels ascend and each labels a run of consecutive values.  The
+    group sizes are ``np.bincount(labels)``.
+    """
+    labels = np.zeros(len(sorted_values), dtype=np.intp)
+    np.cumsum(np.diff(sorted_values) > gap, out=labels[1:])
+    return labels
 
 
 class _Spectral:

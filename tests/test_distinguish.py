@@ -8,6 +8,7 @@ from qclock import (
     DimensionMismatchError,
     DomainError,
     Hamiltonian,
+    NumericalDegeneracyError,
     common_invariant_decomposition,
     conserved_block_traces,
     equal_superposition_clock,
@@ -205,12 +206,12 @@ def test_eigenvalue_groups_match_loop_definition(seed):
         rng.integers(0, 4, size=8) + rng.choice([0.0, 1e-9, 1e-6], size=8),
         [5.0, 5.0 * (1 + 1e-7), 5.0 * (1 + 3e-7)],
     ]))
-    groups = distinguish._group_eigenvalues(w)
+    labels = distinguish._group_eigenvalues(w)
     reference = loop_eigenvalue_groups(w)
-    assert len(groups) == len(reference)
-    assert all(np.array_equal(g, r) for g, r in zip(groups, reference))
+    assert np.array_equal(labels, np.repeat(np.arange(len(reference)), [g.size for g in reference]))
+    assert all(np.array_equal(np.flatnonzero(labels == k), g) for k, g in enumerate(reference))
     flat = np.full(5, 0.2) + 1e-14 * rng.standard_normal(5)
-    assert [g.tolist() for g in distinguish._group_eigenvalues(np.sort(flat))] == [list(range(5))]
+    assert distinguish._group_eigenvalues(np.sort(flat)).tolist() == [0] * 5
 
 
 def test_block_traces_requires_times():
@@ -429,9 +430,8 @@ def block_diag(*blocks):
     return m
 
 
-@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
-@pytest.mark.parametrize("differ", [False, True])
-def test_planted_blocks_match_full_space(d, differ):
+def planted_pair(d, differ):
+    """Two states sharing exactly the invariant blocks of sizes [2, d-2] or [2, 3, d-5]."""
     rng = np.random.default_rng([d, differ])
     sizes = [2, d - 2] if d < 6 else [2, 3, d - 5]
     weights = rng.dirichlet(np.ones(len(sizes)))
@@ -439,25 +439,67 @@ def test_planted_blocks_match_full_space(d, differ):
     weights_b = np.roll(weights, 1) if differ else weights
     blocks_b = [w * random_density(n, n, rng).entries for w, n in zip(weights_b, sizes)]
     u = random_unitary(rng, d)
-    report = assert_matches_full_space(
-        rotated(u, block_diag(*blocks_a)), rotated(u, block_diag(*blocks_b)), seed=d, unique=True
-    )
+    return rotated(u, block_diag(*blocks_a)), rotated(u, block_diag(*blocks_b)), sizes
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("differ", [False, True])
+def test_planted_blocks_match_full_space(d, differ):
+    rho1, rho2, sizes = planted_pair(d, differ)
+    report = assert_matches_full_space(rho1, rho2, seed=d, unique=True)
     assert len(report.subspaces) == len(sizes)
     assert report.commutant_dim == len(sizes)
     assert report.distinguishable == differ
 
 
-def test_draw_with_two_blocks_closer_than_the_group_gap_is_redrawn(monkeypatch):
-    # three planted blocks; the first draw of the commutant gives two of them
-    # eigenvalues 1e-9 apart, inside GROUP_GAP_FACTOR * spread = 2e-7 yet far
-    # above eigh's noise.  Grouping that draw merges the two blocks, and the
-    # merged subspace is still invariant, so only a redraw finds all three
+def loop_certification(report, rho1, rho2):
+    """Reference: invariance residual and block weights, one subspace at a time."""
+    eye = np.eye(rho1.dim)
+    residual = 0.0
+    for s in report.subspaces:
+        proj = s @ s.conj().T
+        for rho in (rho1.entries, rho2.entries):
+            residual = max(residual, float(np.abs((eye - proj) @ rho @ proj).max()))
+    traces_a = np.array([np.trace(s.conj().T @ rho1.entries @ s).real for s in report.subspaces])
+    traces_b = np.array([np.trace(s.conj().T @ rho2.entries @ s).real for s in report.subspaces])
+    return residual, traces_a, traces_b
+
+
+def assert_certification_matches_loop(report, rho1, rho2):
+    residual, traces_a, traces_b = loop_certification(report, rho1, rho2)
+    assert abs(report.invariance_residual - residual) <= 1e-15
+    assert np.abs(report.traces_a - traces_a).max() <= 1e-15
+    assert np.abs(report.traces_b - traces_b).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+@pytest.mark.parametrize("differ", [False, True])
+def test_batched_certification_matches_the_loop_formula(d, differ):
+    rho1, rho2, sizes = planted_pair(d, differ)
+    report = common_invariant_decomposition(rho1, rho2, seed=d)
+    assert sorted(s.shape[1] for s in report.subspaces) == sorted(sizes)
+    assert_certification_matches_loop(report, rho1, rho2)
+
+
+def three_planted_blocks():
+    """A pair with three planted 2-dim blocks, and a commutant element that nearly merges two.
+
+    The element's eigenvalues on two of the blocks are 1e-9 apart, inside
+    GROUP_GAP_FACTOR * spread = 2e-7 yet far above eigh's noise.  Grouping
+    such a draw merges the two blocks, and the merged subspace is still
+    invariant.
+    """
     rng = np.random.default_rng(31)
     sizes = (2, 2, 2)
     u = random_unitary(rng, 6)
     rho1 = rotated(u, block_diag(*[w * random_density(n, n, rng).entries for w, n in zip((0.2, 0.3, 0.5), sizes)]))
     rho2 = rotated(u, block_diag(*[w * random_density(n, n, rng).entries for w, n in zip((0.5, 0.2, 0.3), sizes)]))
     target = u @ np.diag(np.repeat([1.0, 1.0 + 1e-9, 3.0], sizes)) @ u.conj().T
+    return rho1, rho2, target
+
+
+def draw_target_first(monkeypatch, target, draws):
+    """Make the first ``draws`` draws of the commutant return ``target``, later ones random."""
     recorded = {}
     commutant_basis, default_rng = distinguish._commutant_basis, np.random.default_rng
 
@@ -465,24 +507,48 @@ def test_draw_with_two_blocks_closer_than_the_group_gap_is_redrawn(monkeypatch):
         recorded["basis"] = commutant_basis(*args)
         return recorded["basis"]
 
-    class FirstDrawNearlyMerges:
+    class TargetFirst:
         def __init__(self, seed):
             self.rng, self.draws = default_rng(seed), 0
 
         def standard_normal(self, size):
             self.draws += 1
-            if self.draws > 1:
+            if self.draws > draws:
                 return self.rng.standard_normal(size)
             # coordinates of the target in the orthonormal Hermitian basis
             return np.einsum("kij,ji->k", recorded["basis"], target).real
 
     monkeypatch.setattr(distinguish, "_commutant_basis", recording_basis)
-    monkeypatch.setattr(distinguish.np.random, "default_rng", FirstDrawNearlyMerges)
+    monkeypatch.setattr(distinguish.np.random, "default_rng", TargetFirst)
+
+
+def test_draw_with_two_blocks_closer_than_the_group_gap_is_redrawn(monkeypatch):
+    # only a redraw finds all three blocks
+    rho1, rho2, target = three_planted_blocks()
+    draw_target_first(monkeypatch, target, draws=1)
     report = common_invariant_decomposition(rho1, rho2, seed=31)
     assert report.commutant_dim == 3
     assert len(report.subspaces) == 3
     assert sorted(s.shape[1] for s in report.subspaces) == [2, 2, 2]
     assert report.invariance_residual <= distinguish.INVARIANCE_TOL
+    assert_certification_matches_loop(report, rho1, rho2)
+
+
+def test_every_draw_nearly_merging_two_blocks_reports_the_group_step(monkeypatch):
+    # every draw passes the invariance check and fails the in-group step check;
+    # the error says so next to the passing residual
+    rho1, rho2, target = three_planted_blocks()
+    draw_target_first(monkeypatch, target, draws=1 + distinguish.MAX_REDRAWS)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        common_invariant_decomposition(rho1, rho2, seed=31)
+    detail = info.value.detail
+    assert list(detail) == ["best_residual", "commutant_dim", "best_in_group_step", "in_group_step_limit"]
+    assert detail["commutant_dim"] == 3
+    assert detail["best_residual"] <= distinguish.INVARIANCE_TOL
+    assert detail["best_in_group_step"] == pytest.approx(1e-9, rel=1e-6)
+    noise = 6 * np.finfo(float).eps * 3.0
+    assert detail["in_group_step_limit"] == pytest.approx(distinguish.DRAW_GAP_MARGIN * noise, rel=1e-12)
+    assert detail["best_in_group_step"] > detail["in_group_step_limit"]
 
 
 def test_maximally_mixed_partner_uses_the_other_eigenbasis(monkeypatch):
@@ -551,13 +617,16 @@ def eigenbasis_gap(w):
     return distinguish.EIGENBASIS_MARGIN * noise / distinguish.NULLSPACE_RTOL
 
 
-@pytest.mark.parametrize("split", ["0.5 group gap", "2 group gap", "1e-6", "0.5 eigenbasis gap",
-                                   "2 eigenbasis gap"])
-@pytest.mark.parametrize("partner", ["flat", "mixing", "commuting"])
-def test_splitting_near_the_grouping_thresholds(split, partner):
-    # rho1 has two eigenvalues split just below or above GROUP_GAP_FACTOR * scale,
-    # at 1e-6 * scale, or just below or above the gap at which its eigenbasis
-    # solve merges them; the commutant and the decomposition must not notice
+SPLITS = ["0.5 group gap", "2 group gap", "1e-6", "0.5 eigenbasis gap", "2 eigenbasis gap"]
+PARTNERS = ["flat", "mixing", "commuting"]
+
+
+def split_pair(split, partner):
+    """rho1 with two eigenvalues split near a grouping threshold, and a partner of the given kind.
+
+    The split is just below or above GROUP_GAP_FACTOR * scale, 1e-6 * scale,
+    or just below or above the gap at which rho1's eigenbasis solve merges them.
+    """
     rng = np.random.default_rng(25)
     u = random_unitary(rng, 4)
     base = np.array([0.4, 0.4, 0.15, 0.05])
@@ -575,7 +644,14 @@ def test_splitting_near_the_grouping_thresholds(split, partner):
         "eigenbasis gap": eigenbasis_gap(base),
     }[unit]
     p = np.diag(base + np.array([-delta / 2, delta / 2, 0.0, 0.0]))
-    report = assert_matches_full_space(rotated(u, p), rotated(u, other), seed=25, unique=True)
+    return rotated(u, p), rotated(u, other)
+
+
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("partner", PARTNERS)
+def test_splitting_near_the_grouping_thresholds(split, partner):
+    # the commutant and the decomposition must not notice the thresholds
+    report = assert_matches_full_space(*split_pair(split, partner), seed=25, unique=True)
     assert report.commutant_dim == (3 if partner == "mixing" else 4)
 
 
@@ -630,3 +706,59 @@ def test_report_diagnostics_and_witness_projector():
     assert np.array_equal(proj, report.witness_projector())
     same = common_invariant_decomposition(rho1, rho1, seed=0)
     assert same.witness_projector() is None
+
+
+def full_commutator_map(rho1, rho2):
+    """Reference: the stacked commutator map with all 2 d^2 real rows of each cross commutator."""
+    live = [rho for rho in (rho1, rho2) if not distinguish._is_flat(rho.eigenvalues)]
+    groupings = [distinguish._eigenbasis_blocks(rho.eigenvalues) for rho in live]
+    side = int(np.argmin([(np.bincount(labels) ** 2).sum() for labels in groupings]))
+    w, v = live[side].eigenvalues, live[side].eigenvectors
+    units, k, l = distinguish._block_hermitian_basis(groupings[side])
+    rows = [np.diag(np.abs(w[k] - w[l]))]
+    for rho in live[:side] + live[side + 1:]:
+        other = v.conj().T @ rho.entries @ v
+        cross = (units @ other - other @ units).reshape(len(units), -1)
+        rows += [cross.real.T, cross.imag.T]
+    scale = np.hypot.reduce([rho.eigenvalues[-1] - rho.eigenvalues[0] for rho in live])
+    return np.concatenate(rows), scale
+
+
+def null_space(stacked, cutoff):
+    """Singular values, null-space dimension and projector onto the null space."""
+    _, s, vt = np.linalg.svd(stacked)
+    null_rows = vt[s <= cutoff]
+    return s, len(null_rows), null_rows.T @ null_rows
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [("planted", d, differ) for d in (4, 5, 6, 7, 8) for differ in (False, True)]
+    + [("split", split, partner) for split in SPLITS for partner in PARTNERS],
+    ids=str,
+)
+def test_upper_triangle_map_matches_the_full_map(monkeypatch, pair):
+    # the solve keeps (n + d^2 + d) of the (n + 2 d^2) real rows; the singular
+    # values and the null space must be those of the full map
+    kind, *args = pair
+    rho1, rho2 = planted_pair(*args)[:2] if kind == "planted" else split_pair(*args)
+    stacked = []
+    qr = np.linalg.qr
+
+    def recording_qr(m, *args, **kwargs):
+        stacked.append(m)
+        return qr(m, *args, **kwargs)
+
+    monkeypatch.setattr(distinguish.np.linalg, "qr", recording_qr)
+    distinguish._commutant_basis(rho1, rho2)
+    monkeypatch.undo()
+    (half,) = stacked
+    full, scale = full_commutator_map(rho1, rho2)
+    n, d = full.shape[1], rho1.dim
+    assert half.shape == ((n, n) if full.shape == (n, n) else (n + d * d + d, n))
+    cutoff = distinguish.NULLSPACE_RTOL * scale
+    s_half, dim_half, p_half = null_space(half, cutoff)
+    s_full, dim_full, p_full = null_space(full, cutoff)
+    assert np.abs(s_half - s_full).max() <= 1e-13 * scale
+    assert dim_half == dim_full > 0
+    assert np.abs(p_half - p_full).max() <= 1e-12

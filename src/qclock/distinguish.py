@@ -151,7 +151,11 @@ def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     for rho in live[:side] + live[side + 1:]:
         other = v.conj().T @ rho.entries @ v
         other = (other + other.conj().T) / 2
-        product = (units.reshape(-1, rho1.dim) @ other).reshape(units.shape)
+        # one d x d product per unit: stacked as one (n d) x d product it is
+        # large enough at d = 16 for OpenBLAS to hand it to its worker threads,
+        # whose wake-up costs more than the product and stalls whenever the
+        # other core is busy; the entries are the same either way
+        product = units @ other
         cross = (product[:, iu, ju] - product[:, ju, iu].conj()) * weight
         rows += [cross.real.T, cross.imag.T]
     stacked = np.concatenate(rows)  # (n + d^2 + d) x n, or n x n with one state left

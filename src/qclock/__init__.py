@@ -20,20 +20,15 @@ from .channels import (
     CovarianceReport,
     CptpReport,
     QuantumChannel,
-    append_state,
     apply_channel,
     apply_to_matrix,
     channel_from_kraus,
     covariant_twirl,
-    depolarizing_channel,
-    evolution_channel,
     identity_channel,
     is_covariant,
     kraus_operators,
     partial_trace,
     random_channel,
-    tensor,
-    unitary_channel,
     validate_cptp,
 )
 from .distinguish import (

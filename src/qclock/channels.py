@@ -1,4 +1,4 @@
-"""Quantum channels in Choi form: validation, covariance, twirling, composition.
+"""Quantum channels in Choi form: validation, covariance, twirling, application.
 
 Layout convention (frozen; every formula below depends on it)
 --------------------------------------------------------------
@@ -43,15 +43,14 @@ applies factor by factor without building the (din*dout)^2 Kronecker matrix.
 Kraus form
 ----------
 A channel built by :func:`channel_from_kraus` (and so by
-:func:`random_channel`, :func:`unitary_channel`, :func:`evolution_channel`,
-and by the twirl of any of these) keeps its operators as ``kraus``, a
-read-only stack of shape (r, dout, din) with ``kraus[m] = K_m``.  It forms
-``choi`` on first read and caches it: with V the (r, dout*din) matrix whose
-row m is the Choi vector ``K_m.T.reshape(-1)``, ``choi = V^T conj(V)``,
-symmetrized like any other Choi matrix.  A factor with more than din*dout
-operators is no smaller than the Choi matrix, so such a channel forms
-``choi`` at once and keeps no factor.  Every other channel has
-``kraus = None``.
+:func:`random_channel`, and by the twirl of either) keeps its operators as
+``kraus``, a read-only stack of shape (r, dout, din) with ``kraus[m] = K_m``.
+It forms ``choi`` on first read and caches it: with V the (r, dout*din)
+matrix whose row m is the Choi vector ``K_m.T.reshape(-1)``,
+``choi = V^T conj(V)``, symmetrized like any other Choi matrix.  A factor
+with more than din*dout operators is no smaller than the Choi matrix, so
+such a channel forms ``choi`` at once and keeps no factor.  Every other
+channel has ``kraus = None``.
 
 The twirl zeroes the eigenbasis Choi entries of mismatched frequency, which
 is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
@@ -60,11 +59,13 @@ channel that carries a factor is twirled in that form: every K_m is rotated
 into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
 back, and the result carries the classes * r masked operators.  No n x n
 matrix is formed, and the raw channel's ``choi`` is never read.  A channel
-given only as a Choi matrix (a JSON file, :func:`tensor`) takes the
-Choi-matrix twirl.  For ladder spectra the eigenvectors are permutations and
-both twirls sum the same products, so they agree bit for bit, except that a
-one-operator factor can differ in the last bit: OpenBLAS rounds the
-one-term Gram product of its raw Choi matrix differently.
+given only as a Choi matrix takes the Choi-matrix twirl.  Such are a channel
+read from a JSON file, :func:`identity_channel`, the output of the
+Choi-matrix twirl, and a channel of more than din*dout operators.  For ladder
+spectra the eigenvectors are permutations and both twirls sum the same
+products, so they agree bit for bit, except that a one-operator factor can
+differ in the last bit: OpenBLAS rounds the one-term Gram product of its raw
+Choi matrix differently.
 
 The cost of forming the twirled ``choi`` grows with the number of classes.
 Drawing a rank-2 ``random_channel``, twirling it and forming ``choi`` takes
@@ -118,11 +119,10 @@ never changes the spectrum that is computed.
 
 Tolerances
 ----------
-Four constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
+Three constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
 violations and is also the Kraus eigenvalue cutoff, ``COVARIANCE_TOL`` bounds
-the covariance residual, ``FREQ_TOL`` is the largest gap inside one
-Bohr-frequency class of the twirl, and ``UNITARY_TOL`` bounds max|U†U − I| in
-``unitary_channel``.  No function takes a tolerance, so a
+the covariance residual, and ``FREQ_TOL`` is the largest gap inside one
+Bohr-frequency class of the twirl.  No function takes a tolerance, so a
 channel gets the same verdict from every caller; the reports carry the raw
 violations and residual for anyone who needs another threshold.  For a
 channel that carries Kraus operators the CP violation is 0.0 by
@@ -147,7 +147,6 @@ from .states import (
 CPTP_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 FREQ_TOL = 1e-9
-UNITARY_TOL = 1e-10
 
 
 def _check_dims(dim_in: int, dim_out: int):
@@ -415,7 +414,7 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
 def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> QuantumChannel:
     """Project the channel onto the covariant ones for (h_in, h_out).
 
-    In the tensor basis of the Hamiltonian eigenvectors every Choi entry
+    In the product basis of the Hamiltonian eigenvectors every Choi entry
     carries a frequency mismatch (E_out_a - E_out_b) - (E_in_i - E_in_j);
     entries whose mismatch exceeds ``FREQ_TOL`` are zeroed.  The input factor
     uses the conjugated eigenbasis because the channel acts on the input index
@@ -444,29 +443,9 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
 
 
 def identity_channel(dim: int) -> QuantumChannel:
+    """Identity channel on ``dim`` levels; it carries no Kraus factor, only its Choi matrix."""
     vec = np.eye(dim, dtype=complex).T.reshape(-1)
     return QuantumChannel(dim, dim, np.outer(vec, vec.conj()))
-
-
-def depolarizing_channel(dim_in: int, dim_out: int | None = None) -> QuantumChannel:
-    """Channel mapping every state to the maximally mixed state I/dim_out."""
-    dim_out = dim_in if dim_out is None else dim_out
-    choi = np.kron(np.eye(dim_in, dtype=complex), np.eye(dim_out, dtype=complex) / dim_out)
-    return QuantumChannel(dim_in, dim_out, choi)
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"unitary must be square, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary to {UNITARY_TOL:.0e}")
-    return channel_from_kraus([u], u.shape[0], u.shape[0])
-
-
-def evolution_channel(h: Hamiltonian, t: float) -> QuantumChannel:
-    """Unitary conjugation by exp(-iHt) as a channel."""
-    return unitary_channel(h.propagator(t))
 
 
 def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
@@ -537,17 +516,6 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int, seed) -> QuantumC
     return channel_from_kraus(q.reshape(kraus_rank, dim_out, dim_in), dim_in, dim_out)
 
 
-def tensor(channel1: QuantumChannel, channel2: QuantumChannel) -> QuantumChannel:
-    """Parallel composition G1 (x) G2 acting on the tensor-product input space."""
-    d1i, d1o = channel1.dim_in, channel1.dim_out
-    d2i, d2o = channel2.dim_in, channel2.dim_out
-    c1 = channel1.choi.reshape(d1i, d1o, d1i, d1o)
-    c2 = channel2.choi.reshape(d2i, d2o, d2i, d2o)
-    combined = np.einsum("iajb,kcld->ikacjlbd", c1, c2)
-    n = d1i * d2i * d1o * d2o
-    return QuantumChannel(d1i * d2i, d1o * d2o, combined.reshape(n, n))
-
-
 def _partial_trace_matrix(x: np.ndarray, d1: int, d2: int, keep: int) -> np.ndarray:
     x4 = x.reshape(d1, d2, d1, d2)
     if keep == 1:
@@ -563,11 +531,3 @@ def partial_trace(rho: DensityMatrix, dims, keep: int) -> DensityMatrix:
     if d1 * d2 != rho.dim:
         raise DimensionMismatchError(f"dims {d1}x{d2} do not factor state dim {rho.dim}")
     return DensityMatrix(_partial_trace_matrix(rho.entries, d1, d2, keep))
-
-
-def append_state(sigma: DensityMatrix, dim_in: int) -> QuantumChannel:
-    """Channel rho -> rho (x) sigma from ``dim_in`` to ``dim_in * sigma.dim``."""
-    dim_out = dim_in * sigma.dim
-    omega = np.eye(dim_in, dtype=complex).reshape(-1)  # sum_i e_i (x) e_i
-    choi = np.kron(np.outer(omega, omega), sigma.entries)
-    return QuantumChannel(dim_in, dim_out, choi)

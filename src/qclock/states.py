@@ -247,10 +247,10 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     return DensityMatrix(rho / rho.trace().real)
 
 
-def random_hamiltonian(dim: int, seed, scale: float = 1.0) -> Hamiltonian:
+def random_hamiltonian(dim: int, seed) -> Hamiltonian:
     """Seeded GUE-style Hamiltonian (A + A†)/2 from a complex Gaussian A."""
     if dim < 1:
         raise DomainError(f"dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Hamiltonian(scale * (a + a.conj().T) / 2)
+    return Hamiltonian((a + a.conj().T) / 2)

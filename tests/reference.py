@@ -8,11 +8,17 @@ Lyapunov equation instead of the eigenbasis pseudo-inverse, so agreement with
 ``stdlib_dumps`` writes a document with the standard library's encoder; its
 bytes define the frozen JSON layout that ``qclock.fileio.dumps`` writes in
 one pass.
+
+``append_state_channel`` and ``depolarizing_channel`` build Choi-only
+channels straight from their Kronecker-product Choi matrices, as fixtures for
+the bound checks and the Choi-form covariance path.
 """
 import json
 import math
 
 import numpy as np
+
+from qclock import QuantumChannel
 
 
 def _generator(clock):
@@ -63,3 +69,17 @@ def json_safe(value):
 def stdlib_dumps(doc) -> str:
     """The expression that defines the frozen layout; the oracle for fileio.dumps."""
     return json.dumps(json_safe(doc), indent=2) + "\n"
+
+
+def append_state_channel(sigma, dim_in):
+    """Channel rho -> rho (x) sigma from ``dim_in`` to ``dim_in * sigma.dim``, Choi form only."""
+    omega = np.eye(dim_in, dtype=complex).reshape(-1)  # sum_i e_i (x) e_i
+    choi = np.kron(np.outer(omega, omega), sigma.entries)
+    return QuantumChannel(dim_in, dim_in * sigma.dim, choi)
+
+
+def depolarizing_channel(dim_in, dim_out=None):
+    """Channel mapping every state to the maximally mixed state I/dim_out, Choi form only."""
+    dim_out = dim_in if dim_out is None else dim_out
+    choi = np.kron(np.eye(dim_in, dtype=complex), np.eye(dim_out, dtype=complex) / dim_out)
+    return QuantumChannel(dim_in, dim_out, choi)

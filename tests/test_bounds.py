@@ -10,13 +10,11 @@ from qclock import (
     DensityMatrix,
     Hamiltonian,
     PreconditionError,
-    append_state,
     apply_channel,
+    channel_from_kraus,
     copy_bound_check,
     covariant_twirl,
-    depolarizing_channel,
     equal_superposition_clock,
-    evolution_channel,
     is_covariant,
     ladder_hamiltonian,
     monotonicity_check,
@@ -30,6 +28,7 @@ from qclock import (
     validate_cptp,
 )
 from qclock.bounds import CSV_COLUMNS, EXTRA_COLUMNS
+from reference import append_state_channel, depolarizing_channel
 
 
 def plus_clock():
@@ -52,7 +51,7 @@ def test_copy_bound_append_stationary_state():
     clock = plus_clock()
     h2 = Hamiltonian(np.diag([1.0, 2.0]))
     sigma = DensityMatrix(np.diag([0.7, 0.3]))
-    report = copy_bound_check(clock, append_state(sigma, dim_in=2), clock.hamiltonian, h2)
+    report = copy_bound_check(clock, append_state_channel(sigma, dim_in=2), clock.hamiltonian, h2)
     assert report.f_in == pytest.approx(1.0, abs=1e-10)
     assert report.f1 == pytest.approx(report.f_in, abs=1e-10)
     assert report.f2 <= 1e-12
@@ -232,7 +231,7 @@ def test_monotonicity_unitary_channel_preserves_f():
     rng = np.random.default_rng(50)
     h = random_hamiltonian(3, rng)
     clock = ClockSystem(random_density(3, 2, rng), h)
-    report = monotonicity_check(clock, evolution_channel(h, 0.9), h)
+    report = monotonicity_check(clock, channel_from_kraus([h.propagator(0.9)], 3, 3), h)
     assert report.holds
     assert report.f_out == pytest.approx(report.f_in, abs=1e-10 * max(1.0, report.f_in))
 

@@ -10,14 +10,11 @@ from qclock import (
     Hamiltonian,
     QuantumChannel,
     ValidationError,
-    append_state,
     apply_channel,
     apply_to_matrix,
     channel_from_kraus,
     covariant_twirl,
-    depolarizing_channel,
     equal_superposition_clock,
-    evolution_channel,
     evolve,
     identity_channel,
     is_covariant,
@@ -28,11 +25,10 @@ from qclock import (
     random_density,
     random_hamiltonian,
     sweep,
-    tensor,
     total_hamiltonian,
-    unitary_channel,
     validate_cptp,
 )
+from reference import depolarizing_channel
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +42,11 @@ def test_identity_channel_fixes_states():
     assert np.abs(out.entries - rho.entries).max() <= 1e-12
 
 
-def test_depolarizing_channel_outputs_maximally_mixed():
-    rho = random_density(3, 3, seed=2)
-    out = apply_channel(depolarizing_channel(3), rho)
-    assert np.abs(out.entries - np.eye(3) / 3).max() <= 1e-12
-
-
 def test_unitary_conjugation_channel_matches_evolve():
     h = random_hamiltonian(4, seed=3)
     clock = ClockSystem(random_density(4, 4, seed=4), h)
     s = 0.8
-    channel = evolution_channel(h, s)
+    channel = channel_from_kraus([h.propagator(s)], 4, 4)
     via_channel = apply_channel(channel, clock.state)
     via_evolve = evolve(clock, s)
     assert np.abs(via_channel.entries - via_evolve.entries).max() <= 1e-10
@@ -293,7 +283,7 @@ def test_twirling_a_kraus_channel_never_forms_the_raw_choi_matrix(monkeypatch):
 
 def test_unitary_evolution_channel_is_covariant():
     h = random_hamiltonian(3, seed=5)
-    channel = evolution_channel(h, 0.7)
+    channel = channel_from_kraus([h.propagator(0.7)], 3, 3)
     report = is_covariant(channel, h, h)
     assert report.residual <= 1e-10
     assert report.is_covariant
@@ -324,7 +314,7 @@ def test_random_channel_generically_not_covariant():
 
 def test_twirl_fixes_already_covariant_channels():
     h = random_hamiltonian(3, seed=10)
-    channel = evolution_channel(h, 1.3)
+    channel = channel_from_kraus([h.propagator(1.3)], 3, 3)
     twirled = covariant_twirl(channel, h, h)
     assert np.abs(twirled.choi - channel.choi).max() <= 1e-10
 
@@ -394,7 +384,7 @@ def test_covariance_residual_matches_per_unit_definition(din, dout):
     for seed in range(3):
         channel = random_channel(din, dout, 2, seed=seed)
         h_in = random_hamiltonian(din, seed=100 + seed)
-        h_out = random_hamiltonian(dout, seed=200 + seed, scale=1.7)
+        h_out = Hamiltonian(1.7 * random_hamiltonian(dout, seed=200 + seed).entries)
         expected = _reference_residual(channel, h_in, h_out)
         report = is_covariant(channel, h_in, h_out)
         assert expected > 1e-3
@@ -572,7 +562,7 @@ def test_scaled_kraus_sets_fail_trace_preservation_by_the_scaling():
 
 
 # ---------------------------------------------------------------------------
-# composition: tensor, partial trace, append
+# partial trace
 # ---------------------------------------------------------------------------
 
 
@@ -584,56 +574,6 @@ def test_partial_trace_recovers_factors():
     right = partial_trace(joint, (2, 3), keep=2)
     assert np.abs(left.entries - rho.entries).max() <= 1e-12
     assert np.abs(right.entries - sigma.entries).max() <= 1e-12
-
-
-def test_tensor_of_identities_is_identity():
-    combined = tensor(identity_channel(2), identity_channel(3))
-    expected = identity_channel(6)
-    assert np.abs(combined.choi - expected.choi).max() <= 1e-12
-
-
-def test_tensor_applies_factorwise():
-    ch1 = random_channel(2, 2, 2, seed=19)
-    ch2 = random_channel(2, 3, 1, seed=20)
-    rho = random_density(2, 2, seed=21)
-    sigma = random_density(2, 2, seed=22)
-    joint_in = DensityMatrix(np.kron(rho.entries, sigma.entries))
-    out = apply_channel(tensor(ch1, ch2), joint_in)
-    expected = np.kron(
-        apply_channel(ch1, rho).entries, apply_channel(ch2, sigma).entries
-    )
-    assert np.abs(out.entries - expected).max() <= 1e-12
-
-
-def test_append_state_acts_as_tensoring():
-    sigma = random_density(3, 2, seed=23)
-    rho = random_density(2, 2, seed=24)
-    channel = append_state(sigma, dim_in=2)
-    out = apply_channel(channel, rho)
-    assert np.abs(out.entries - np.kron(rho.entries, sigma.entries)).max() <= 1e-12
-    assert validate_cptp(channel).ok
-
-
-def test_append_state_matches_matrix_unit_definition():
-    sigma = random_density(3, 2, seed=26)
-    dim_in = 2
-    expected = np.zeros((dim_in * dim_in * 3,) * 2, dtype=complex)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            unit = np.zeros((dim_in, dim_in), dtype=complex)
-            unit[i, j] = 1.0
-            expected += np.kron(unit, np.kron(unit, sigma.entries))
-    assert np.array_equal(append_state(sigma, dim_in).choi, expected)
-
-
-def test_append_stationary_state_is_covariant():
-    h = random_hamiltonian(2, seed=25)
-    h2 = Hamiltonian(np.diag([1.0, 2.0]))
-    sigma = DensityMatrix(np.diag([0.7, 0.3]))  # commutes with h2
-    channel = append_state(sigma, dim_in=2)
-    h_total = Hamiltonian(np.kron(h.entries, np.eye(2)) + np.kron(np.eye(2), h2.entries))
-    report = is_covariant(channel, h, h_total)
-    assert report.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -745,22 +685,6 @@ def test_choi_channels_carry_no_kraus_factor():
     assert covariant_twirl(identity_channel(2), h, h).kraus is None
 
 
-def test_unitary_channel_rejects_non_unitary():
-    with pytest.raises(Exception):
-        unitary_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
-@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
-def test_unitary_channel_at_the_unitary_tolerance(scale, ok):
-    # U†U − I = diag(0, scale * UNITARY_TOL) up to rounding
-    u = np.diag([1.0, np.sqrt(1.0 + scale * channels.UNITARY_TOL)])
-    if ok:
-        assert unitary_channel(u).kraus.shape == (1, 2, 2)
-    else:
-        with pytest.raises(ValidationError, match="not unitary to 1e-10"):
-            unitary_channel(u)
-
-
 def test_twirl_handles_exactly_degenerate_spectra():
     h_in = Hamiltonian(np.diag([1.0, 1.0, 2.0]))
     h_out = Hamiltonian(np.diag([0.0, 1.0, 1.0, 3.0]))
@@ -770,16 +694,6 @@ def test_twirl_handles_exactly_degenerate_spectra():
         assert is_covariant(twirled, h_in, h_out).is_covariant
         again = covariant_twirl(twirled, h_in, h_out)
         assert np.abs(again.choi - twirled.choi).max() <= 1e-12
-
-
-def test_tensor_of_covariant_channels_is_covariant_for_the_sum():
-    h_a = random_hamiltonian(2, seed=61)
-    h_b = random_hamiltonian(2, seed=62)
-    ch_a = covariant_twirl(random_channel(2, 2, 2, seed=63), h_a, h_a)
-    ch_b = covariant_twirl(random_channel(2, 2, 2, seed=64), h_b, h_b)
-    h_total = total_hamiltonian(h_a, h_b)
-    report = is_covariant(tensor(ch_a, ch_b), h_total, h_total)
-    assert report.residual <= 1e-9
 
 
 def loop_frequency_classes(nu, freq_tol):

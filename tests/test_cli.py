@@ -569,6 +569,17 @@ def test_readme_module_table_names_exist():
             assert hasattr(module, name), f"README names {module.__name__}.{name}, which does not exist"
 
 
+def test_readme_tolerances_name_constants_of_that_value():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    conventions = readme.split("\n## Conventions\n")[1].split("\n## ")[0]
+    pairs = re.findall(r"`([^`]+)`\s+\(`(\w+)\.(\w+)`\)", conventions)
+    assert len(pairs) == 9
+    for value, module_name, name in pairs:
+        module = importlib.import_module(f"qclock.{module_name}")
+        assert hasattr(module, name), f"README names {module_name}.{name}, which does not exist"
+        assert getattr(module, name) == float(value), f"README gives {module_name}.{name} as {value}"
+
+
 def test_console_entry_point_runs_in_subprocess(plus_clock_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qclock.cli", "qfi", "--clock", plus_clock_file],

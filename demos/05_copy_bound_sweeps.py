@@ -54,7 +54,7 @@ cfg = {
 result = sweep(cfg, seed=601)
 finite = [r["margin"] for r in result.rows if math.isfinite(r["margin"])]
 print(f"\n50-sample sweep: all satisfied = {result.summary['all_satisfied']}, "
-      f"min margin = {result.summary['min_margin']}")
+      f"min margin = {result.summary['min_margin']:.4f}")
 print(f"  informative (finite-margin) samples: {len(finite)}, "
       f"worst finite margin = {min(finite):.4f}")
 

@@ -80,9 +80,9 @@ and none of the following reads ``choi``:
 - CP: X -> sum_m K_m X K_m† is completely positive by construction, so
   :func:`validate_cptp` does not measure it.  It reports a CP violation of
   0.0 and ``largest_block == 0``: no Choi block was diagonalised.
-- TP: sum_m K_m† K_m, one product of the operators stacked as a
-  (r*dout, din) matrix, is the transpose of the Choi marginal, so the TP
-  violation is the Choi one up to rounding.
+- TP: sum_m K_m† K_m, summed over the stack of r products, is the
+  transpose of the Choi marginal, so the TP violation is the Choi one up to
+  rounding.
 - Covariance: the Choi vector of D_m = H_out K_m - K_m H_in is K v_m, so
   [K, C] = sum_m (d_m v_m† - v_m d_m†).  Subtracting a real multiple w_m v_m
   from d_m leaves the sum unchanged, so with r_m = D_m - w_m K_m every
@@ -95,7 +95,7 @@ and none of the following reads ``choi``:
   measured as for any channel, so the verdict is the Choi check's either
   way.  A covariant channel given by operators that mix frequencies (a
   unitary mix of twirled operators) is accepted by that fallback.
-- Apply: :func:`apply_to_matrix` is sum_m K_m X K_m†.
+- Apply: :func:`apply_to_matrix` sums the stack of r products K_m X K_m†.
 
 So a (16, 4, 4) copy-bound sweep row forms no Choi matrix, and takes ~1.9 ms
 against ~6.5 ms when it gated and applied the twirled channel through its
@@ -214,10 +214,8 @@ def apply_to_matrix(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
             f"matrix shape {x.shape} does not match channel input dim {channel.dim_in}"
         )
     if channel.kraus is not None:
-        # sum_m K_m X K_m† as two flat products over the rows (a, m) of the operators K_m[a, :]
-        rows = channel.kraus.transpose(1, 0, 2).reshape(-1, channel.dim_in)
-        kx = (rows @ x).reshape(channel.dim_out, -1)
-        return kx @ rows.reshape(channel.dim_out, -1).conj().T
+        # stacked: one flat (r*dout, din) product crosses OpenBLAS's threading threshold
+        return (channel.kraus @ x @ channel.kraus.conj().transpose(0, 2, 1)).sum(0)
     c4 = channel.choi.reshape(channel.dim_in, channel.dim_out, channel.dim_in, channel.dim_out)
     return np.einsum("iajb,ij->ab", c4, x)
 
@@ -297,8 +295,8 @@ def validate_cptp(channel: QuantumChannel) -> CptpReport:
     """
     if channel.kraus is not None:
         # sum_m K_m† K_m is the transpose of the Choi marginal below
-        stacked = channel.kraus.reshape(-1, channel.dim_in)
-        marginal, cp_violation, largest_block = stacked.conj().T @ stacked, 0.0, 0
+        marginal = (channel.kraus.conj().transpose(0, 2, 1) @ channel.kraus).sum(0)
+        cp_violation, largest_block = 0.0, 0
     else:
         stacks = _choi_blocks(channel.choi)
         min_eig = min(float(np.linalg.eigvalsh(blocks)[:, 0].min()) for _, blocks in stacks)

@@ -118,8 +118,10 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise ValidationError(f"file not found: {path}")
+    except OSError as exc:  # missing, a directory or unreadable
+        raise ValidationError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"file {path} is not valid JSON: {exc}")
 
@@ -278,8 +280,11 @@ def _cmd_sweep(args):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # e.g. its directory is missing
+            raise ValidationError(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -292,6 +297,7 @@ def run(argv=None) -> int:
         return 64
     try:
         doc = args.handler(args)
+        _emit(doc if isinstance(doc, str) else fileio.dumps(doc), args.output)
     except ClockError as exc:
         error_doc = {"code": exc.code, "message": exc.message, "detail": exc.detail}
         sys.stdout.write(fileio.dumps(error_doc))
@@ -302,7 +308,6 @@ def run(argv=None) -> int:
             fileio.dumps({"code": "internal-error", "message": str(exc), "detail": {}})
         )
         return 1
-    _emit(doc if isinstance(doc, str) else fileio.dumps(doc), args.output)
     return 0
 
 

@@ -33,7 +33,9 @@ matrix as the real rows of all its entries: the same singular values and
 null space from n + d^2 + d rows instead of n + 2 d^2 (n unknowns).  The
 null space fixes the commutant, but the orthonormal basis LAPACK returns for
 it is one rotation among many, so a seeded draw from it (and with it the
-order of the subspaces) can change with the last bits of the map.
+order of the subspaces) can change with the last bits of the map.  The basis
+stays in that eigenbasis, the solved frame V: a draw is made there, and only
+its eigenvectors y are rotated back, as V y.
 
 Each draw is certified in one batched pass: the projectors onto all
 candidate subspaces come from one mask of the group labels, the invariance
@@ -121,10 +123,10 @@ def _eigenbasis_blocks(w: np.ndarray) -> np.ndarray:
     return _gap_labels(w, EIGENBASIS_MARGIN * _eigh_noise(w) / NULLSPACE_RTOL)
 
 
-def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Basis (k, d, d) of the Hermitian X with [X, rho1] = [X, rho2] = 0.
+def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Frame v and basis (k, d, d) of the Hermitian v† X v with [X, rho1] = [X, rho2] = 0.
 
-    Solved in the eigenbasis of the state with the fewer in-block unknowns as
+    Solved in the eigenbasis v of the state with the fewer in-block unknowns as
     the null space of the stacked real-linear maps X -> [X, rho] restricted to
     that state's eigenvalue blocks; the module docstring gives the cutoffs.
     """
@@ -132,7 +134,7 @@ def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     # rounding noise could sit above a cutoff set by the other state's spread
     live = [rho for rho in (rho1, rho2) if not _is_flat(rho.eigenvalues)]
     if not live:
-        return _block_hermitian_basis(np.zeros(rho1.dim, dtype=np.intp))[0]
+        return np.eye(rho1.dim), _block_hermitian_basis(np.zeros(rho1.dim, dtype=np.intp))[0]
     scale = float(np.hypot.reduce([rho.eigenvalues[-1] - rho.eigenvalues[0] for rho in live]))
     groupings = [_eigenbasis_blocks(rho.eigenvalues) for rho in live]
     unknowns = [int((np.bincount(labels) ** 2).sum()) for labels in groupings]
@@ -164,7 +166,7 @@ def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     # same QR internally, so for the tall map the result is the same)
     _, s, vt = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
     null_rows = vt[s <= NULLSPACE_RTOL * scale]
-    return v @ (null_rows @ units.reshape(len(units), -1)).reshape(-1, *v.shape) @ v.conj().T
+    return v, (null_rows @ units.reshape(len(units), -1)).reshape(-1, *v.shape)
 
 
 def _group_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -206,11 +208,11 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
 
     A seeded random Hermitian element of the joint commutant is drawn and its
     eigenspaces (grouped across near-degenerate eigenvalues) give the
-    subspaces.  The commutant is solved in the eigenbasis of one state, over
-    the sum of m_k^2 unknowns inside its eigenvalue groups, with the cutoff
-    ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``.  A state
-    proportional to the identity constrains nothing and is left out of that
-    solve; when both are, every Hermitian matrix is in the commutant (see the
+    subspaces.  The commutant is solved, and the draw made, in the eigenbasis
+    of one state, over the sum of m_k^2 unknowns inside its eigenvalue groups,
+    with the cutoff ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``.  A
+    state proportional to the identity constrains nothing and is left out of
+    that solve; when both are, every Hermitian matrix is in the commutant (see the
     module docstring).  Each candidate decomposition is certified by checking
     invariance of every subspace under both states, and by finding no step
     inside an eigenvalue group wider than ``DRAW_GAP_MARGIN`` times eigh's
@@ -226,14 +228,15 @@ def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, see
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(f"state dims differ: {rho1.dim} vs {rho2.dim}")
     a, b = rho1.entries, rho2.entries
-    commutant = _commutant_basis(rho1, rho2)
+    frame, commutant = _commutant_basis(rho1, rho2)
     flat_basis = commutant.reshape(len(commutant), -1)
     rng = np.random.default_rng(seed)
 
     best = None  # (residual, widest in-group step, its limit) of the draw with the least residual
     for _ in range(1 + MAX_REDRAWS):
         x = (rng.standard_normal(len(flat_basis)) @ flat_basis).reshape(a.shape)
-        w, v = np.linalg.eigh(x)
+        w, y = np.linalg.eigh(x)
+        v = frame @ y  # the draw's eigenvectors, rotated out of the solved frame
         labels = _group_eigenvalues(w)
         masks = labels == np.arange(labels[-1] + 1)[:, None]
         projectors = (v * masks[:, None, :]) @ v.conj().T  # one (d, d) projector per group

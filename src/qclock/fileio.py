@@ -3,8 +3,9 @@
 Matrices travel as ``{"dim": rows, "re": [[...]], "im": [[...]]}`` with
 row-major real and imaginary parts at full round-trip precision (rectangular
 matrices, e.g. subspace bases, use the same keys with ``dim`` equal to the
-row count).  A clock file is ``{"state": <matrix>, "hamiltonian": <matrix>}``
-and a channel file ``{"dim_in":, "dim_out":, "choi": <matrix>}``.
+row count) whose entries are JSON numbers, not strings or booleans.  A clock
+file is ``{"state": <matrix>, "hamiltonian": <matrix>}`` and a channel file
+``{"dim_in":, "dim_out":, "choi": <matrix>}``.
 
 JSON documents are kept strictly standard: non-finite floats are serialized
 as the strings "inf", "-inf", "nan".  Their byte layout is frozen as the one
@@ -16,6 +17,7 @@ infinities appear as ``inf``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -45,10 +47,13 @@ def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or not {"dim", "re", "im"} <= set(doc):
         raise ValidationError("matrix document must have keys 'dim', 're', 'im'")
     try:
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
+        entry_types = set(map(type, itertools.chain(*doc["re"], *doc["im"])))
     except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
         raise ValidationError(f"'re' and 'im' must be matrices of numbers: {exc}")
+    if not entry_types <= {int, float}:  # NumPy reads "0.5" as 0.5, "nan" as NaN and true as 1.0
+        names = ", ".join(sorted(t.__name__ for t in entry_types - {int, float}))
+        raise ValidationError(f"'re' and 'im' must be matrices of numbers, not {names}")
     if re.ndim != 2 or re.shape != im.shape:
         raise ValidationError(f"'re' and 'im' must be equal-shape matrices, got {re.shape} vs {im.shape}")
     if re.shape[0] != _dimension(doc, "dim"):

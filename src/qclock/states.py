@@ -8,7 +8,6 @@ instances are safe to use concurrently.
 """
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -27,28 +26,16 @@ def _as_complex_square(entries, what: str) -> np.ndarray:
     return mat
 
 
-_DEVIATION_BLOCK_ENTRIES = 8192  # 128 KiB of complex entries
-
-
 def _hermitian_deviation(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Max-abs entry of a square M - M†, and M† as a fresh array laid out like M.
 
     The adjoint is copied into M's layout, so the subtraction reads both
-    operands in order (against the strided view ``M.conj().T`` it is ~9x
-    slower at 256 x 256).  The difference is taken in blocks of whole rows
-    with at most ``_DEVIATION_BLOCK_ENTRIES`` entries, so no temporary as
-    large as a big M is made; fresh pages for such temporaries cost more than
-    the arithmetic.  A NaN or infinite entry makes the deviation NaN or
-    infinite (``np.maximum`` keeps a NaN).
+    operands in order.  A NaN or infinite entry makes the deviation NaN or
+    infinite.
     """
-    rows = max(1, _DEVIATION_BLOCK_ENTRIES // len(mat))
     adjoint = np.conjugate(mat.T, out=np.empty_like(mat))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        maxima = [
-            np.abs(mat[start : start + rows] - adjoint[start : start + rows]).max()
-            for start in range(0, len(mat), rows)
-        ]
-    return float(functools.reduce(np.maximum, maxima)), adjoint
+        return float(np.abs(mat - adjoint).max()), adjoint
 
 
 def _hermitize(entries, what: str) -> np.ndarray:

@@ -83,3 +83,17 @@ def depolarizing_channel(dim_in, dim_out=None):
     dim_out = dim_in if dim_out is None else dim_out
     choi = np.kron(np.eye(dim_in, dtype=complex), np.eye(dim_out, dtype=complex) / dim_out)
     return QuantumChannel(dim_in, dim_out, choi)
+
+
+def flat_apply_to_matrix(kraus, x):
+    """sum_m K_m X K_m† as two flat products over the rows (a, m) of the operators K_m[a, :]."""
+    dim_out, dim_in = kraus.shape[1:]
+    rows = kraus.transpose(1, 0, 2).reshape(-1, dim_in)
+    kx = (rows @ x).reshape(dim_out, -1)
+    return kx @ rows.reshape(dim_out, -1).conj().T
+
+
+def flat_kraus_marginal(kraus):
+    """sum_m K_m† K_m as one product of the operators stacked as a (r*dout, din) matrix."""
+    stacked = kraus.reshape(-1, kraus.shape[2])
+    return stacked.conj().T @ stacked

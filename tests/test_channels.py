@@ -28,7 +28,7 @@ from qclock import (
     total_hamiltonian,
     validate_cptp,
 )
-from reference import depolarizing_channel
+from reference import depolarizing_channel, flat_apply_to_matrix, flat_kraus_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,20 @@ def test_apply_preserves_trace_for_cptp_channels():
         assert max(report.cp_violation, report.tp_violation) <= 1e-10
         out = apply_channel(ch, random_density(3, 3, seed=seed + 50))
         assert abs(out.entries.trace().real - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2), (8, 3, 3), (16, 4, 4), (32, 6, 6), "raw"], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_kraus_products_match_the_flat_products(dims, seed):
+    # sum_m K_m X K_m† and sum_m K_m† K_m are summed over the stack; the flat
+    # (r*dout, din) products sum in another order, so they agree to rounding
+    channel = random_channel(4, 3, 3, seed) if dims == "raw" else ladder_sweep_broadcast(seed, *dims)
+    x = random_density(channel.dim_in, 1 + seed, seed).entries
+    flat = flat_apply_to_matrix(channel.kraus, x)
+    assert np.abs(apply_to_matrix(channel, x) - flat).max() <= 1e-15 * np.abs(flat).max()
+    # the marginal is close to the identity, so its scale is 1
+    flat_tp = np.abs(flat_kraus_marginal(channel.kraus) - np.eye(channel.dim_in)).max()
+    assert abs(validate_cptp(channel).tp_violation - flat_tp) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +116,11 @@ def test_validate_eigen_surgery_breaks_positivity():
 # ---------------------------------------------------------------------------
 
 
-def ladder_sweep_broadcast(seed):
-    """Broadcast channel of one (16,4,4) ladder copy-bound sweep row: a twirled 16 -> 16 channel."""
-    h_in = equal_superposition_clock(16, 1.0).hamiltonian
-    h_out = total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0))
-    return covariant_twirl(random_channel(16, 16, 2, np.random.default_rng(seed)), h_in, h_out)
+def ladder_sweep_broadcast(seed, dim_in=16, dim_out1=4, dim_out2=4):
+    """Broadcast channel of one ladder copy-bound sweep row, (16,4,4) by default: a twirled rank-2 channel."""
+    h_in = equal_superposition_clock(dim_in, 1.0).hamiltonian
+    h_out = total_hamiltonian(ladder_hamiltonian(dim_out1, 1.0), ladder_hamiltonian(dim_out2, 1.0))
+    return covariant_twirl(random_channel(dim_in, dim_out1 * dim_out2, 2, np.random.default_rng(seed)), h_in, h_out)
 
 
 def choi_only(channel):

@@ -368,8 +368,10 @@ def test_matrix_with_ragged_rows_exits_2(tmp_path, identity_channel_file):
     _exits_invalid_matrix(["apply", "--channel", identity_channel_file, "--state", state], "matrices of numbers")
 
 
-def test_matrix_with_a_string_entry_exits_2(tmp_path, identity_channel_file):
-    state = write_json(tmp_path / "s.json", {"dim": 2, "re": [[0.5, "a"], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+@pytest.mark.parametrize("entry", ["a", "0.5", "nan", True], ids=["letter", "numeric-string", "nan-string", "bool"])
+def test_matrix_with_a_string_entry_exits_2(tmp_path, identity_channel_file, entry):
+    # NumPy would read "0.5" as 0.5, "nan" as NaN and true as 1.0
+    state = write_json(tmp_path / "s.json", {"dim": 2, "re": [[0.5, entry], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
     _exits_invalid_matrix(["apply", "--channel", identity_channel_file, "--state", state], "matrices of numbers")
 
 
@@ -379,6 +381,32 @@ def test_channel_with_a_non_integer_dimension_exits_2(tmp_path, dim_in):
     doc = fileio.channel_to_json(identity_channel(2))
     channel = write_json(tmp_path / "ch.json", dict(doc, dim_in=dim_in))
     _exits_invalid_matrix(["check-channel", "--channel", channel], "'dim_in' must be an integer")
+
+
+@pytest.mark.parametrize(
+    "name, content, match",
+    [
+        ("", None, "Is a directory"),
+        ("latin1.json", '{"r\xe9": 1}'.encode("latin-1"), "not UTF-8"),
+        ("missing.json", None, "No such file"),
+    ],
+    ids=["directory", "not-utf8", "missing"],
+)
+def test_an_input_that_cannot_be_read_exits_2(tmp_path, capsys, name, content, match):
+    # a directory or undecodable bytes used to exit 1 with code internal-error
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    _exits_invalid_matrix(["qfi", "--clock", str(path)], match)
+    assert capsys.readouterr().err == ""
+
+
+def test_an_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    # the FileNotFoundError used to escape run() with a traceback and no error document
+    target = tmp_path / "missing_dir" / "x.json"
+    _exits_invalid_matrix(["orthogonal-times", "--levels", "3", "--quantum", "1", "--output", str(target)], "cannot write")
+    assert capsys.readouterr().err == ""
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize(

@@ -515,8 +515,9 @@ def draw_target_first(monkeypatch, target, draws):
             self.draws += 1
             if self.draws > draws:
                 return self.rng.standard_normal(size)
-            # coordinates of the target in the orthonormal Hermitian basis
-            return np.einsum("kij,ji->k", recorded["basis"], target).real
+            # coordinates of the target, taken into the solved frame, in the orthonormal Hermitian basis
+            frame, basis = recorded["basis"]
+            return np.einsum("kij,ji->k", basis, frame.conj().T @ target @ frame).real
 
     monkeypatch.setattr(distinguish, "_commutant_basis", recording_basis)
     monkeypatch.setattr(distinguish.np.random, "default_rng", TargetFirst)

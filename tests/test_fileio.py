@@ -162,9 +162,13 @@ def cli_inputs(tmp_path_factory):
         "broadcast": fileio.channel_to_json(broadcast),
         "h_one": fileio.matrix_to_json(h_one.entries),
         "sweep": {"experiment": "copy_bound", "samples": 2, "dim_in": 4, "dim_out1": 2, "dim_out2": 2},
-        "nan_clock": {"state": nan_state, "hamiltonian": fileio.matrix_to_json(np.diag([0.0, 1.0]))},
     }
-    return {name: _write(root / f"{name}.json", doc) for name, doc in files.items()}
+    paths = {name: _write(root / f"{name}.json", doc) for name, doc in files.items()}
+    # spelled with JSON's NaN literal: the string "nan" is not a number, so it never reaches the Hermitian check
+    nan_clock = {"state": nan_state, "hamiltonian": fileio.matrix_to_json(np.diag([0.0, 1.0]))}
+    (root / "nan_clock.json").write_text(json.dumps(nan_clock))
+    paths["nan_clock"] = str(root / "nan_clock.json")
+    return paths
 
 
 CLI_DOCUMENTS = {

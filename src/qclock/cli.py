@@ -173,6 +173,8 @@ def _cmd_make_state(args) -> dict:
 
 
 def _cmd_check_channel(args) -> dict:
+    if (args.hamiltonian_in is None) != (args.hamiltonian_out is None):
+        raise ConfigError("--hamiltonian-in and --hamiltonian-out must be given together")
     channel = fileio.channel_from_json(_read_json(args.channel))
     report = channels.validate_cptp(channel)
     doc = {
@@ -180,8 +182,6 @@ def _cmd_check_channel(args) -> dict:
         "tp_violation": report.tp_violation,
         "ok": report.ok,
     }
-    if (args.hamiltonian_in is None) != (args.hamiltonian_out is None):
-        raise ConfigError("--hamiltonian-in and --hamiltonian-out must be given together")
     if args.hamiltonian_in is not None:
         cov = channels.is_covariant(
             channel,

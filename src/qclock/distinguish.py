@@ -20,7 +20,8 @@ the smallest eigenvalue, the null space of the commutator map keeps singular
 values up to ``NULLSPACE_RTOL * scale``.  ``scale`` bounds the largest
 singular value of the stacked map X -> ([X, rho1], [X, rho2]) from above and
 is within a factor sqrt(2) of it.  A state with a flat spectrum (spread at
-most ``FLAT_RTOL * max(1, largest |eigenvalue|)``) commutes with every
+most ``FLAT_RTOL``, an absolute bound since a density matrix's eigenvalues
+lie in [0, 1] up to its PSD and trace tolerances) commutes with every
 Hermitian matrix, so it is left out of the map and of ``scale``: its rounding
 noise, rotated into the other state's eigenbasis, would otherwise lie above a
 cutoff set by a small spread of the other state.  When both spectra are flat
@@ -37,10 +38,14 @@ order of the subspaces) can change with the last bits of the map.  The basis
 stays in that eigenbasis, the solved frame V: a draw is made there, and only
 its eigenvectors y are rotated back, as V y.
 
-Each draw is certified in one batched pass: the projectors onto all
-candidate subspaces come from one mask of the group labels, the invariance
-residual of every subspace from the products rho P and P rho P, and the
-block weights are the traces of those same rho P.
+One seeded element is drawn, and its eigenvalues are grouped by one rule:
+a new group starts at every step wider than ``DRAW_GAP_MARGIN`` times eigh's
+rounding, d * eps * max|w|.  The margin leaves room for the commutant basis's
+own error, ~1e3 times that rounding near the null-space cutoff.  The draw is
+certified in one batched pass: the projectors onto all subspaces come from
+one mask of the group labels, the invariance residual of every subspace from
+the products rho P and P rho P, and the block weights are the traces of those
+same rho P.  A residual above ``INVARIANCE_TOL`` raises.
 
 For a continuously evolving clock the relevant subspaces are the spectral
 blocks of the Hamiltonian, and the block weights are conserved in time; that
@@ -69,18 +74,16 @@ from .states import ClockSystem, DensityMatrix, _gap_labels, evolve
 
 INVARIANCE_TOL = 1e-9
 NULLSPACE_RTOL = 1e-10
-GROUP_GAP_FACTOR = 1e-7
 FLAT_RTOL = 1e-12
 EIGENBASIS_MARGIN = 20.0
 DRAW_GAP_MARGIN = 1e4
-MAX_REDRAWS = 5
 DISTINGUISH_TOL = 1e-9
 COMMUTE_TOL = 1e-10
 
 
 def _is_flat(w: np.ndarray) -> bool:
-    """True when an ascending spectrum is constant up to float noise."""
-    return float(w[-1] - w[0]) <= FLAT_RTOL * max(1.0, float(np.abs(w).max()))
+    """True when a density matrix's ascending spectrum is constant up to float noise."""
+    return float(w[-1] - w[0]) <= FLAT_RTOL
 
 
 def _eigh_noise(w: np.ndarray) -> float:
@@ -169,13 +172,6 @@ def _commutant_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarr
     return v, (null_rows @ units.reshape(len(units), -1)).reshape(-1, *v.shape)
 
 
-def _group_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Group labels of ascending eigenvalues, split where a gap exceeds a spectral-gap threshold."""
-    if _is_flat(w):
-        return np.zeros(w.size, dtype=np.intp)
-    return _gap_labels(w, GROUP_GAP_FACTOR * float(w[-1] - w[0]))
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Finest common invariant subspaces with the block weights of both states.
@@ -206,76 +202,57 @@ class DecompositionReport:
 def common_invariant_decomposition(rho1: DensityMatrix, rho2: DensityMatrix, seed=0) -> DecompositionReport:
     """Decompose the space into the finest subspaces invariant under both states.
 
-    A seeded random Hermitian element of the joint commutant is drawn and its
-    eigenspaces (grouped across near-degenerate eigenvalues) give the
-    subspaces.  The commutant is solved, and the draw made, in the eigenbasis
-    of one state, over the sum of m_k^2 unknowns inside its eigenvalue groups,
-    with the cutoff ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``.  A
-    state proportional to the identity constrains nothing and is left out of
-    that solve; when both are, every Hermitian matrix is in the commutant (see the
-    module docstring).  Each candidate decomposition is certified by checking
-    invariance of every subspace under both states, and by finding no step
-    inside an eigenvalue group wider than ``DRAW_GAP_MARGIN`` times eigh's
-    noise: such a group may join two blocks whose random eigenvalues nearly
-    coincide, and their union is invariant too (the margin leaves room for the
-    commutant basis's own error, ~1e3 times that noise near the null-space
-    cutoff).  Uncertified draws are retried up to MAX_REDRAWS times.  When none
-    is certified, the error's detail holds the least invariance residual over
-    the draws (``best_residual``), ``commutant_dim``, and that draw's widest
-    step inside a group (``best_in_group_step``) with its limit
-    (``in_group_step_limit``).
+    One seeded random Hermitian element of the joint commutant is drawn, and
+    its eigenspaces give the subspaces.  The commutant is solved, and the draw
+    made, in the eigenbasis of one state, over the sum of m_k^2 unknowns inside
+    its eigenvalue groups, with the cutoff
+    ``NULLSPACE_RTOL * hypot(spread(rho1), spread(rho2))``.  A state
+    proportional to the identity constrains nothing and is left out of that
+    solve; when both are, every Hermitian matrix is in the commutant (see the
+    module docstring).  The draw's eigenvalues share a subspace unless a step
+    between them is wider than ``DRAW_GAP_MARGIN`` times eigh's noise, so two
+    blocks whose random eigenvalues nearly coincide still come out apart.  The
+    decomposition is certified by the invariance of every subspace under both
+    states, within ``INVARIANCE_TOL``.  A draw that fails raises
+    :class:`NumericalDegeneracyError`, whose detail holds the draw's invariance
+    residual (``best_residual``) and ``commutant_dim``.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatchError(f"state dims differ: {rho1.dim} vs {rho2.dim}")
     a, b = rho1.entries, rho2.entries
     frame, commutant = _commutant_basis(rho1, rho2)
     flat_basis = commutant.reshape(len(commutant), -1)
-    rng = np.random.default_rng(seed)
-
-    best = None  # (residual, widest in-group step, its limit) of the draw with the least residual
-    for _ in range(1 + MAX_REDRAWS):
-        x = (rng.standard_normal(len(flat_basis)) @ flat_basis).reshape(a.shape)
-        w, y = np.linalg.eigh(x)
-        v = frame @ y  # the draw's eigenvectors, rotated out of the solved frame
-        labels = _group_eigenvalues(w)
-        masks = labels == np.arange(labels[-1] + 1)[:, None]
-        projectors = (v * masks[:, None, :]) @ v.conj().T  # one (d, d) projector per group
-        # (1 - P) rho P = rho P - P rho P, and tr(rho P) is the subspace's weight
-        residual, traces = 0.0, []
-        for rho in (a, b):
-            rho_p = rho @ projectors
-            residual = max(residual, float(np.abs(rho_p - projectors @ rho_p).max()))
-            traces.append(rho_p.trace(axis1=1, axis2=2).real)
-        steps = np.diff(w)[np.diff(labels) == 0]
-        step = float(steps.max()) if steps.size else 0.0
-        limit = DRAW_GAP_MARGIN * _eigh_noise(w)
-        if best is None or residual < best[0]:
-            best = (residual, step, limit)
-        if residual <= INVARIANCE_TOL and step <= limit:
-            bounds = np.cumsum(np.bincount(labels))[:-1]
-            subspaces = [np.ascontiguousarray(s) for s in np.split(v, bounds, axis=1)]
-            traces_a, traces_b = traces
-            gaps = np.abs(traces_a - traces_b)
-            distinguishable = bool(gaps.max() > DISTINGUISH_TOL)
-            witness = int(np.argmax(gaps)) if distinguishable else None
-            return DecompositionReport(
-                subspaces=subspaces,
-                traces_a=traces_a,
-                traces_b=traces_b,
-                distinguishable=distinguishable,
-                witness_index=witness,
-                commutant_dim=len(commutant),
-                invariance_residual=residual,
-            )
-    residual, step, limit = best
-    raise NumericalDegeneracyError(
-        "could not certify an invariant decomposition after retries",
-        detail={
-            "best_residual": residual,
-            "commutant_dim": len(commutant),
-            "best_in_group_step": step,
-            "in_group_step_limit": limit,
-        },
+    x = (np.random.default_rng(seed).standard_normal(len(flat_basis)) @ flat_basis).reshape(a.shape)
+    w, y = np.linalg.eigh(x)
+    v = frame @ y  # the draw's eigenvectors, rotated out of the solved frame
+    labels = _gap_labels(w, DRAW_GAP_MARGIN * _eigh_noise(w))
+    masks = labels == np.arange(labels[-1] + 1)[:, None]
+    projectors = (v * masks[:, None, :]) @ v.conj().T  # one (d, d) projector per group
+    # (1 - P) rho P = rho P - P rho P, and tr(rho P) is the subspace's weight
+    residual, traces = 0.0, []
+    for rho in (a, b):
+        rho_p = rho @ projectors
+        residual = max(residual, float(np.abs(rho_p - projectors @ rho_p).max()))
+        traces.append(rho_p.trace(axis1=1, axis2=2).real)
+    if residual > INVARIANCE_TOL:
+        raise NumericalDegeneracyError(
+            "could not certify an invariant decomposition",
+            detail={"best_residual": residual, "commutant_dim": len(commutant)},
+        )
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    subspaces = [np.ascontiguousarray(s) for s in np.split(v, bounds, axis=1)]
+    traces_a, traces_b = traces
+    gaps = np.abs(traces_a - traces_b)
+    distinguishable = bool(gaps.max() > DISTINGUISH_TOL)
+    witness = int(np.argmax(gaps)) if distinguishable else None
+    return DecompositionReport(
+        subspaces=subspaces,
+        traces_a=traces_a,
+        traces_b=traces_b,
+        distinguishable=distinguishable,
+        witness_index=witness,
+        commutant_dim=len(commutant),
+        invariance_residual=residual,
     )
 
 

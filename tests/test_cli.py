@@ -401,6 +401,17 @@ def test_an_input_that_cannot_be_read_exits_2(tmp_path, capsys, name, content, m
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("flag", ["--hamiltonian-in", "--hamiltonian-out"])
+def test_check_channel_with_one_hamiltonian_is_a_config_error_before_reading(tmp_path, flag):
+    # the flag pair is checked before the channel file is read
+    h = write_json(tmp_path / "h.json", fileio.matrix_to_json(np.diag([0.0, 1.0])))
+    code, out = run_cli(["check-channel", "--channel", str(tmp_path / "missing.json"), flag, h])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["code"] == "config"
+    assert "must be given together" in doc["message"]
+
+
 def test_an_output_in_a_missing_directory_exits_2(tmp_path, capsys):
     # the FileNotFoundError used to escape run() with a traceback and no error document
     target = tmp_path / "missing_dir" / "x.json"
@@ -601,7 +612,7 @@ def test_readme_tolerances_name_constants_of_that_value():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     conventions = readme.split("\n## Conventions\n")[1].split("\n## ")[0]
     pairs = re.findall(r"`([^`]+)`\s+\(`(\w+)\.(\w+)`\)", conventions)
-    assert len(pairs) == 9
+    assert len(pairs) == 10
     for value, module_name, name in pairs:
         module = importlib.import_module(f"qclock.{module_name}")
         assert hasattr(module, name), f"README names {module_name}.{name}, which does not exist"

@@ -199,19 +199,41 @@ def test_block_traces_match_loop_grouping():
     assert np.array_equal(report.block_traces, np.array(expected))
 
 
+def loop_draw_groups(w):
+    """Reference grouping of a draw's ascending eigenvalues: split at steps above DRAW_GAP_MARGIN * noise."""
+    limit = distinguish.DRAW_GAP_MARGIN * len(w) * np.finfo(float).eps * float(np.abs(w).max())
+    groups, start = [], 0
+    for k in range(1, w.size):
+        if w[k] - w[k - 1] > limit:
+            groups.append(np.arange(start, k))
+            start = k
+    groups.append(np.arange(start, w.size))
+    return groups
+
+
+def drawn_subspace_sizes(monkeypatch, w, rng):
+    """Subspace sizes of a flat pair's decomposition whose draw has the eigenvalues w."""
+    d = len(w)
+    flat = DensityMatrix(np.eye(d) / d)  # the whole Hermitian space is the commutant
+    u = random_unitary(rng, d)
+    draw_target_first(monkeypatch, u @ np.diag(w) @ u.conj().T, draws=1)
+    report = common_invariant_decomposition(flat, flat, seed=0)
+    monkeypatch.undo()
+    return [s.shape[1] for s in report.subspaces]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_eigenvalue_groups_match_loop_definition(seed):
+def test_eigenvalue_groups_match_loop_definition(monkeypatch, seed):
+    # exact ties, and steps of 1e-9 and more, against a limit of ~1e-10
     rng = np.random.default_rng(seed)
     w = np.sort(np.concatenate([
         rng.integers(0, 4, size=8) + rng.choice([0.0, 1e-9, 1e-6], size=8),
         [5.0, 5.0 * (1 + 1e-7), 5.0 * (1 + 3e-7)],
     ]))
-    labels = distinguish._group_eigenvalues(w)
-    reference = loop_eigenvalue_groups(w)
-    assert np.array_equal(labels, np.repeat(np.arange(len(reference)), [g.size for g in reference]))
-    assert all(np.array_equal(np.flatnonzero(labels == k), g) for k, g in enumerate(reference))
-    flat = np.full(5, 0.2) + 1e-14 * rng.standard_normal(5)
-    assert distinguish._group_eigenvalues(np.sort(flat)).tolist() == [0] * 5
+    assert drawn_subspace_sizes(monkeypatch, w, rng) == [g.size for g in loop_draw_groups(w)]
+    flat = np.sort(np.full(5, 0.2) + 1e-14 * rng.standard_normal(5))
+    assert [g.size for g in loop_draw_groups(flat)] == [5]
+    assert drawn_subspace_sizes(monkeypatch, flat, rng) == [5]
 
 
 def test_block_traces_requires_times():
@@ -373,7 +395,7 @@ def loop_eigenvalue_groups(w):
         return [np.arange(w.size)]
     groups, start = [], 0
     for k in range(1, w.size):
-        if w[k] - w[k - 1] > distinguish.GROUP_GAP_FACTOR * spread:
+        if w[k] - w[k - 1] > 1e-7 * spread:
             groups.append(np.arange(start, k))
             start = k
     groups.append(np.arange(start, w.size))
@@ -485,9 +507,9 @@ def three_planted_blocks():
     """A pair with three planted 2-dim blocks, and a commutant element that nearly merges two.
 
     The element's eigenvalues on two of the blocks are 1e-9 apart, inside
-    GROUP_GAP_FACTOR * spread = 2e-7 yet far above eigh's noise.  Grouping
-    such a draw merges the two blocks, and the merged subspace is still
-    invariant.
+    1e-7 * spread = 2e-7 yet far above DRAW_GAP_MARGIN times eigh's noise,
+    ~4e-11.  Grouping such a draw at a fraction of its spread would merge the
+    two blocks, and the merged subspace would still be invariant.
     """
     rng = np.random.default_rng(31)
     sizes = (2, 2, 2)
@@ -499,8 +521,11 @@ def three_planted_blocks():
 
 
 def draw_target_first(monkeypatch, target, draws):
-    """Make the first ``draws`` draws of the commutant return ``target``, later ones random."""
-    recorded = {}
+    """Make the first ``draws`` draws of the commutant return ``target``, later ones random.
+
+    Returns a dict whose ``"draws"`` counts the draws made.
+    """
+    recorded = {"draws": 0}
     commutant_basis, default_rng = distinguish._commutant_basis, np.random.default_rng
 
     def recording_basis(*args):
@@ -509,11 +534,11 @@ def draw_target_first(monkeypatch, target, draws):
 
     class TargetFirst:
         def __init__(self, seed):
-            self.rng, self.draws = default_rng(seed), 0
+            self.rng = default_rng(seed)
 
         def standard_normal(self, size):
-            self.draws += 1
-            if self.draws > draws:
+            recorded["draws"] += 1
+            if recorded["draws"] > draws:
                 return self.rng.standard_normal(size)
             # coordinates of the target, taken into the solved frame, in the orthonormal Hermitian basis
             frame, basis = recorded["basis"]
@@ -521,35 +546,53 @@ def draw_target_first(monkeypatch, target, draws):
 
     monkeypatch.setattr(distinguish, "_commutant_basis", recording_basis)
     monkeypatch.setattr(distinguish.np.random, "default_rng", TargetFirst)
+    return recorded
 
 
-def test_draw_with_two_blocks_closer_than_the_group_gap_is_redrawn(monkeypatch):
-    # only a redraw finds all three blocks
+def test_draw_with_two_blocks_closer_than_a_spread_fraction_is_split(monkeypatch):
+    # only the first draw is the target; its three blocks are the planted ones
     rho1, rho2, target = three_planted_blocks()
     draw_target_first(monkeypatch, target, draws=1)
     report = common_invariant_decomposition(rho1, rho2, seed=31)
     assert report.commutant_dim == 3
-    assert len(report.subspaces) == 3
     assert sorted(s.shape[1] for s in report.subspaces) == [2, 2, 2]
     assert report.invariance_residual <= distinguish.INVARIANCE_TOL
     assert_certification_matches_loop(report, rho1, rho2)
+    _, u = np.linalg.eigh(target)
+    planted = [u[:, k:k + 2] @ u[:, k:k + 2].conj().T for k in (0, 2, 4)]
+    for s, p in zip(report.subspaces, planted):
+        assert np.abs(s @ s.conj().T - p).max() <= 1e-6
 
 
-def test_every_draw_nearly_merging_two_blocks_reports_the_group_step(monkeypatch):
-    # every draw passes the invariance check and fails the in-group step check;
-    # the error says so next to the passing residual
+def test_first_draw_nearly_merging_two_blocks_is_certified(monkeypatch):
+    # every draw would be the target: one is made, and certified with three blocks
     rho1, rho2, target = three_planted_blocks()
-    draw_target_first(monkeypatch, target, draws=1 + distinguish.MAX_REDRAWS)
+    recorded = draw_target_first(monkeypatch, target, draws=10)
+    report = common_invariant_decomposition(rho1, rho2, seed=31)
+    assert recorded["draws"] == 1
+    assert [s.shape[1] for s in report.subspaces] == [2, 2, 2]
+    assert report.invariance_residual <= distinguish.INVARIANCE_TOL
+
+
+def test_a_draw_off_the_commutant_raises_with_its_residual(monkeypatch):
+    # a basis element that does not commute with rho1 mixes its eigenvectors,
+    # so the subspaces of the draw are not invariant
+    rho1, rho2 = DensityMatrix(np.diag([0.7, 0.2, 0.1])), DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+    commutant_basis = distinguish._commutant_basis
+    stray = np.zeros((3, 3), dtype=complex)
+    stray[0, 1] = stray[1, 0] = 1.0 / np.sqrt(2.0)
+
+    def leaky_basis(*args):
+        frame, basis = commutant_basis(*args)
+        return frame, np.concatenate([basis, frame.conj().T @ stray[None] @ frame])
+
+    monkeypatch.setattr(distinguish, "_commutant_basis", leaky_basis)
     with pytest.raises(NumericalDegeneracyError) as info:
-        common_invariant_decomposition(rho1, rho2, seed=31)
+        common_invariant_decomposition(rho1, rho2, seed=0)
     detail = info.value.detail
-    assert list(detail) == ["best_residual", "commutant_dim", "best_in_group_step", "in_group_step_limit"]
-    assert detail["commutant_dim"] == 3
-    assert detail["best_residual"] <= distinguish.INVARIANCE_TOL
-    assert detail["best_in_group_step"] == pytest.approx(1e-9, rel=1e-6)
-    noise = 6 * np.finfo(float).eps * 3.0
-    assert detail["in_group_step_limit"] == pytest.approx(distinguish.DRAW_GAP_MARGIN * noise, rel=1e-12)
-    assert detail["best_in_group_step"] > detail["in_group_step_limit"]
+    assert list(detail) == ["best_residual", "commutant_dim"]
+    assert detail["commutant_dim"] == 4
+    assert detail["best_residual"] > distinguish.INVARIANCE_TOL
 
 
 def test_maximally_mixed_partner_uses_the_other_eigenbasis(monkeypatch):
@@ -625,7 +668,7 @@ PARTNERS = ["flat", "mixing", "commuting"]
 def split_pair(split, partner):
     """rho1 with two eigenvalues split near a grouping threshold, and a partner of the given kind.
 
-    The split is just below or above GROUP_GAP_FACTOR * scale, 1e-6 * scale,
+    The split is just below or above 1e-7 * scale, 1e-6 * scale,
     or just below or above the gap at which rho1's eigenbasis solve merges them.
     """
     rng = np.random.default_rng(25)
@@ -640,7 +683,7 @@ def split_pair(split, partner):
     scale = np.hypot(base[0] - base[3], w_other[-1] - w_other[0])
     factor, _, unit = split.partition(" ")
     delta = float(factor) * {
-        "group gap": distinguish.GROUP_GAP_FACTOR * scale,
+        "group gap": 1e-7 * scale,
         "": scale,
         "eigenbasis gap": eigenbasis_gap(base),
     }[unit]

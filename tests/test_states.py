@@ -90,9 +90,9 @@ def test_hermitize_matches_the_plain_formula_bit_for_bit(layout):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_hermitize_rejects_a_non_finite_entry_beyond_the_first_row_block(bad):
+def test_hermitize_rejects_a_non_finite_entry_deep_in_a_large_matrix(bad):
     mat = np.eye(200, dtype=complex)
-    mat[190, 60] = mat[60, 190] = bad  # rows 60 and 190 lie in the second and fifth blocks
+    mat[190, 60] = mat[60, 190] = bad  # a symmetric pair far from the first rows and the diagonal
     with pytest.raises(ValidationError, match="non-finite") as info:
         states._hermitize(mat, "m")
     assert not np.isfinite(info.value.detail["deviation"])

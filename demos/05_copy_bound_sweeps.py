@@ -15,11 +15,15 @@ channels and prints the energy-scale trend.
 import math
 
 from qclock import (
+    ClockSystem,
+    apply_channel,
     copy_bound_check,
     covariant_twirl,
     equal_superposition_clock,
     fileio,
     ladder_hamiltonian,
+    partial_trace,
+    qfi,
     random_channel,
     sweep,
     time_uncertainty_check,
@@ -41,6 +45,10 @@ print(f"  <E^2> = {report.e2:.4f} (ground-shifted; unshifted {report.e2_unshifte
 print(f"  1/F1 + 1/F2 = {report.lhs:.4f}  >=  2/F + 2/<E^2> = {report.rhs:.4f}")
 print(f"  margin = {report.margin:.4f}, satisfied = {report.satisfied}")
 print(f"  dt_in = {unc.dt_in:.4f}, dt1 = {unc.dt1:.4f}, dt2 = {unc.dt2:.4f}")
+# each outgoing signal is a marginal of the joint output state
+joint = apply_channel(broadcast, clock.state)
+first = ClockSystem(partial_trace(joint, (h1.dim, h2.dim), keep=1), h1)
+print(f"  F1 recomputed from the first marginal = {qfi(first).fisher_info:.4f}")
 
 # --- Monte Carlo ------------------------------------------------------------------
 cfg = {

@@ -26,48 +26,70 @@ bound would hold vacuously, so sweeps reject them.  Every column of a sweep
 row scales exactly with an energy scale lambda (F and <E^2> as lambda^2,
 reciprocals and margins as 1/lambda^2), which makes ``energy_scales`` a units
 check.
+
+A sweep draws every sample as before, from ``default_rng(seed + k)`` in index
+order, the state before the channel, and builds each Hamiltonian once per
+energy scale.  It then evaluates its rows as one stacked pass: the twirl,
+the gate, the channel's action, the checks of every output state, the three
+Fisher informations, <E^2> and the margin are array operations over a
+leading row axis.  There is one row kernel per experiment
+(:func:`_copy_bound_rows`, :func:`_monotonicity_rows`), and
+:func:`copy_bound_check` and :func:`monotonicity_check` run it on a stack of
+one row.  Only rows whose twirled channels have operator stacks of one shape
+share a stack (the number of frequency classes, and with it the number of
+twirled operators, changes with the energy scale), and at most
+``_STACK_ROWS`` rows are evaluated at a time.  Every step treats each row on
+its own, so a row's numbers are the same bits whichever stack it is in, and
+equal the single check on that row's clock and twirled channel.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
     COVARIANCE_TOL,
+    CPTP_TOL,
     QuantumChannel,
-    apply_channel,
-    covariant_twirl,
-    is_covariant,
-    partial_trace,
+    _apply_rows,
+    _channel_ops,
+    _covariance_rows,
+    _cptp_rows,
+    _partial_trace_matrix,
+    _twirled_ops,
     random_channel,
-    validate_cptp,
 )
 from .errors import ConfigError, DimensionMismatchError, PreconditionError
-from .fisher import F_FLOOR, qfi, time_uncertainty
+from .fisher import F_FLOOR, _fisher_rows, time_uncertainty
 from .states import (
     ClockSystem,
     Hamiltonian,
-    equal_superposition_clock,
+    _density_rows,
+    _equal_superposition,
     ladder_hamiltonian,
     random_density,
 )
 
 MARGIN_TOL = 1e-8
+# rows evaluated as one stack at most, so that a sweep's memory does not grow with its samples
+_STACK_ROWS = 16
 
 
-def _reciprocal(value: float) -> float:
-    return math.inf if value <= F_FLOOR else 1.0 / value
+def _reciprocal(values: np.ndarray) -> np.ndarray:
+    """1/F of each value; infinite at or below ``F_FLOOR``."""
+    return np.divide(1.0, values, out=np.full(values.shape, math.inf), where=~(values <= F_FLOOR))
 
 
-def _margin(lhs: float, rhs: float):
-    if math.isinf(lhs):
-        return math.inf, True
-    if math.isinf(rhs):
-        return -math.inf, False
-    margin = lhs - rhs
+def _margin(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Slack lhs - rhs of each row and its verdict against ``MARGIN_TOL``.
+
+    An infinite lhs gives +inf and holds; otherwise an infinite rhs gives
+    -inf and fails.
+    """
+    margin = np.subtract(lhs, rhs, out=np.full(lhs.shape, math.inf), where=~np.isinf(lhs))
     return margin, margin >= -MARGIN_TOL
 
 
@@ -106,32 +128,66 @@ class CopyBoundReport:
     covariance_residual: float
 
 
-def _require_covariant_process(
-    clock: ClockSystem, channel: QuantumChannel, h_out: Hamiltonian
-) -> float:
-    """Admit only CPTP channels covariant for (clock's H, h_out); return the covariance residual.
-
-    Non-covariant processing can legitimately increase timing information,
-    so such channels are rejected with guidance to project them first.
-    """
+def _check_process_dims(clock: ClockSystem, channel: QuantumChannel, h_out: Hamiltonian):
     if channel.dim_in != clock.dim or channel.dim_out != h_out.dim:
         raise DimensionMismatchError(
             f"channel {channel.dim_in}->{channel.dim_out} does not map clock dim "
             f"{clock.dim} to output dim {h_out.dim}"
         )
-    cptp = validate_cptp(channel)
-    if not cptp.ok:
+
+
+def _require_covariant_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
+    """Admit only CPTP channels covariant for (h_in, h_out); return each row's covariance residual.
+
+    ``ops`` is a stack of channels as ``channels._apply_rows`` takes it, with
+    Hamiltonian entries (B, d, d).  Non-covariant processing can legitimately
+    increase timing information, so such channels are rejected with guidance
+    to project them first.  The first row that fails raises, with the CPTP
+    check first.
+    """
+    cp, tp, _ = _cptp_rows(ops, h_in.shape[-1], h_out.shape[-1])
+    residual = _covariance_rows(ops, h_in, h_out)
+    cptp = (cp <= CPTP_TOL) & (tp <= CPTP_TOL)
+    failed = ~(cptp & (residual <= COVARIANCE_TOL))
+    if failed.any():
+        b = failed.argmax()
+        if not cptp[b]:
+            raise PreconditionError(
+                f"channel is not CPTP (cp violation {cp[b]:.3e}, tp violation {tp[b]:.3e})"
+            )
         raise PreconditionError(
-            "channel is not CPTP "
-            f"(cp violation {cptp.cp_violation:.3e}, tp violation {cptp.tp_violation:.3e})"
-        )
-    cov = is_covariant(channel, clock.hamiltonian, h_out)
-    if not cov.is_covariant:
-        raise PreconditionError(
-            f"channel is not covariant (residual {cov.residual:.3e} "
+            f"channel is not covariant (residual {residual[b]:.3e} "
             f"> {COVARIANCE_TOL:.1e}); apply covariant_twirl first"
         )
-    return cov.residual
+    return residual
+
+
+def _copy_bound_rows(rho, p, v, h_in, ops, h1, h2, h_total, ground) -> tuple:
+    """The copy-bound report of each row of a stack, as columns in ``CopyBoundReport`` order.
+
+    Row b is the clock state ``rho[b]`` (B, d, d) with its eigenvalues
+    ``p[b]`` and eigenvectors ``v[b]`` under ``h_in[b]``, the broadcast
+    ``ops[b]`` (as for :func:`_require_covariant_rows`), and the output
+    Hamiltonian entries ``h1[b]``, ``h2[b]``, ``h_total[b]`` with
+    ``ground[b]`` the least total energy.  Every step is a stacked array
+    operation, so a row's numbers do not depend on the stack it is in.
+    """
+    residual = _require_covariant_rows(ops, h_in, h_total)
+    out = _density_rows(_apply_rows(ops, rho))[0]
+    d1, d2 = h1.shape[-1], h2.shape[-1]
+    f_in = _fisher_rows(h_in, rho, p, v)[0]
+    f1 = _fisher_rows(h1, *_density_rows(_partial_trace_matrix(out, d1, d2, keep=1)))[0]
+    f2 = _fisher_rows(h2, *_density_rows(_partial_trace_matrix(out, d1, d2, keep=2)))[0]
+
+    shifted = h_total - ground[:, None, None] * np.eye(h_total.shape[-1])
+    e2 = np.real(np.trace(out @ shifted @ shifted, axis1=-2, axis2=-1))
+    e2_unshifted = np.real(np.trace(out @ h_total @ h_total, axis1=-2, axis2=-1))
+
+    r1, r2, r_in, r_e2 = _reciprocal(np.stack([f1, f2, f_in, e2]))
+    lhs = r1 + r2
+    rhs = 2.0 * r_in + 2.0 * r_e2
+    margin, satisfied = _margin(lhs, rhs)
+    return f_in, f1, f2, e2, e2_unshifted, lhs, rhs, margin, satisfied, residual
 
 
 def copy_bound_check(
@@ -145,49 +201,24 @@ def copy_bound_check(
     The broadcast must be CPTP and covariant for (H, H1 (x) 1 + 1 (x) H2);
     other maps raise PreconditionError (project them with covariant_twirl
     first).  Reciprocals of timing informations at or below ``F_FLOOR`` are
-    reported as infinite.
+    reported as infinite.  The report is :func:`_copy_bound_rows` of a stack
+    of one row.
     """
-    return _copy_bound(clock, broadcast, h1, h2, total_hamiltonian(h1, h2))
-
-
-def _copy_bound(
-    clock: ClockSystem,
-    broadcast: QuantumChannel,
-    h1: Hamiltonian,
-    h2: Hamiltonian,
-    h_total: Hamiltonian,
-) -> CopyBoundReport:
-    """:func:`copy_bound_check` for a caller that already holds ``total_hamiltonian(h1, h2)``."""
-    residual = _require_covariant_process(clock, broadcast, h_total)
-
-    rho_out = apply_channel(broadcast, clock.state)
-    marginal1 = partial_trace(rho_out, (h1.dim, h2.dim), keep=1)
-    marginal2 = partial_trace(rho_out, (h1.dim, h2.dim), keep=2)
-
-    f_in = qfi(clock).fisher_info
-    f1 = qfi(ClockSystem(marginal1, h1)).fisher_info
-    f2 = qfi(ClockSystem(marginal2, h2)).fisher_info
-
-    ground = float(h1.eigenvalues[0] + h2.eigenvalues[0])
-    shifted = h_total.entries - ground * np.eye(h_total.dim)
-    e2 = float(np.real(np.trace(rho_out.entries @ shifted @ shifted)))
-    e2_unshifted = float(np.real(np.trace(rho_out.entries @ h_total.entries @ h_total.entries)))
-
-    lhs = _reciprocal(f1) + _reciprocal(f2)
-    rhs = 2.0 * _reciprocal(f_in) + 2.0 * _reciprocal(e2)
-    margin, satisfied = _margin(lhs, rhs)
-    return CopyBoundReport(
-        f_in=f_in,
-        f1=f1,
-        f2=f2,
-        e2=e2,
-        e2_unshifted=e2_unshifted,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=satisfied,
-        covariance_residual=residual,
+    h_total = total_hamiltonian(h1, h2)
+    _check_process_dims(clock, broadcast, h_total)
+    state = clock.state
+    columns = _copy_bound_rows(
+        state.entries[None],
+        state.eigenvalues[None],
+        state.eigenvectors[None],
+        clock.hamiltonian.entries[None],
+        _channel_ops(broadcast)[None],
+        h1.entries[None],
+        h2.entries[None],
+        h_total.entries[None],
+        np.array([h1.eigenvalues[0] + h2.eigenvalues[0]]),
     )
+    return CopyBoundReport(*(column[0].item() for column in columns))
 
 
 @dataclass(frozen=True)
@@ -227,7 +258,20 @@ class MonotonicityReport:
     @property
     def margin(self) -> float:
         """f_in - f_out, the slack that ``holds`` is judged on."""
-        return _margin(self.f_in, self.f_out)[0]
+        return _margin(np.array(self.f_in), np.array(self.f_out))[0].item()
+
+
+def _monotonicity_rows(rho, p, v, h_in, ops, h_out) -> tuple:
+    """f_in, f_out, covariance residual, verdict and margin of each row of a stack.
+
+    The arguments are as for :func:`_copy_bound_rows`, with ``h_out`` the
+    output Hamiltonian entries.
+    """
+    residual = _require_covariant_rows(ops, h_in, h_out)
+    f_in = _fisher_rows(h_in, rho, p, v)[0]
+    f_out = _fisher_rows(h_out, *_density_rows(_apply_rows(ops, rho)))[0]
+    margin, holds = _margin(f_in, f_out)
+    return f_in, f_out, residual, holds, margin
 
 
 def monotonicity_check(
@@ -239,18 +283,20 @@ def monotonicity_check(
 
     The channel must be CPTP and covariant for (H, h_out); other maps raise
     PreconditionError, since they can legitimately increase F (that is
-    precisely what the covariance condition rules out).
+    precisely what the covariance condition rules out).  The report is
+    :func:`_monotonicity_rows` of a stack of one row.
     """
-    residual = _require_covariant_process(clock, channel, h_out)
-    f_in = qfi(clock).fisher_info
-    out_state = apply_channel(channel, clock.state)
-    f_out = qfi(ClockSystem(out_state, h_out)).fisher_info
-    return MonotonicityReport(
-        f_in=f_in,
-        f_out=f_out,
-        covariance_residual=residual,
-        holds=_margin(f_in, f_out)[1],
+    _check_process_dims(clock, channel, h_out)
+    state = clock.state
+    columns = _monotonicity_rows(
+        state.entries[None],
+        state.eigenvalues[None],
+        state.eigenvectors[None],
+        clock.hamiltonian.entries[None],
+        _channel_ops(channel)[None],
+        h_out.entries[None],
     )
+    return MonotonicityReport(*(column[0].item() for column in columns[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,76 +359,136 @@ def _field(config: dict, field: str, kind, default=_REQUIRED, choices=None):
     return default
 
 
-def _row(report, **columns) -> dict:
-    """One sweep row in frozen column order.
+def _rows(n: int, **columns) -> list:
+    """n sweep rows in frozen column order.
 
-    The report's fields fill the columns of the same name, ``columns`` fill
-    the rest, and a column the experiment has no value for stays None.
+    A list gives each row its own value and any other value is shared by all
+    rows; a column the experiment has no value for stays None.
     """
-    row = dict.fromkeys(CSV_COLUMNS + EXTRA_COLUMNS)
-    row.update((k, v) for k, v in asdict(report).items() if k in row)
-    row.update(columns)
-    return row
+    names = CSV_COLUMNS + EXTRA_COLUMNS
+    cells = [columns.get(name) for name in names]
+    cells = [cell if isinstance(cell, list) else [cell] * n for cell in cells]
+    return [dict(zip(names, row)) for row in zip(*cells)]
 
 
-def _copy_bound_sample(config: dict, base_seed: int, index: int) -> list:
-    dim_in = config["dim_in"]
-    d1 = config["dim_out1"]
-    d2 = config["dim_out2"]
-    kraus_rank = config["kraus_rank"]
-    quantum = config["energy_quantum"]
-    sub_seed = base_seed + index
-    rng = np.random.default_rng(sub_seed)
+def _draws(seed: int, ks: range, dim: int, dim_out: int, kraus_rank: int, state=None) -> tuple:
+    """Clock states and raw channels of samples ks, each from ``default_rng(seed + k)``.
 
-    if config["clock"] == "equal_superposition":
-        state = equal_superposition_clock(dim_in, quantum).state
-    else:
-        state = random_density(dim_in, 1 + index % dim_in, rng)
-    raw = random_channel(dim_in, d1 * d2, kraus_rank, rng)
+    Samples are drawn in index order, the state before the channel; a given
+    ``state`` serves every sample and draws nothing.
+    """
+    states, raws = [], []
+    for k in ks:
+        rng = np.random.default_rng(seed + k)
+        states.append(random_density(dim, 1 + k % dim, rng) if state is None else state)
+        raws.append(random_channel(dim, dim_out, kraus_rank, rng))
+    return states, raws
 
-    shared = {"sample_id": index, "seed": sub_seed, "dim_in": dim_in, "kraus_rank": kraus_rank}
-    rows = []
-    for lam in config["energy_scales"]:
-        clock = ClockSystem(state, ladder_hamiltonian(dim_in, quantum * lam))
+
+def _stacked(states: list) -> tuple:
+    """Entries, eigenvalues and eigenvectors of a list of states, each as one stack."""
+    return tuple(
+        np.stack([getattr(st, name) for st in states])
+        for name in ("entries", "eigenvalues", "eigenvectors")
+    )
+
+
+def _copy_bound_sweep(cfg: dict, seed: int) -> list:
+    dim_in, d1, d2 = cfg["dim_in"], cfg["dim_out1"], cfg["dim_out2"]
+    quantum, scales = cfg["energy_quantum"], cfg["energy_scales"]
+    levels = []
+    for lam in scales:
         h1 = ladder_hamiltonian(d1, quantum * lam)
-        h2 = ladder_hamiltonian(d2, quantum * lam)
-        h_total = total_hamiltonian(h1, h2)
-        broadcast = covariant_twirl(raw, clock.hamiltonian, h_total)
-        report = _copy_bound(clock, broadcast, h1, h2, h_total)
-        rows.append(
-            _row(report, **shared, dim_out1=d1, dim_out2=d2, energy_scale=lam, clock=config["clock"])
-        )
+        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum * lam)
+        levels.append((ladder_hamiltonian(dim_in, quantum * lam), h1, h2, total_hamiltonian(h1, h2)))
+    # (scales, d, d) entries of h_in, h1, h2 and h_total, and the least total energy per scale
+    entries = [np.stack([h.entries for h in hs]) for hs in zip(*levels)]
+    ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0] for _, h1, h2, _ in levels])
+    state = _equal_superposition(dim_in) if cfg["clock"] == "equal_superposition" else None
+
+    rows = []
+    per_stack = max(1, _STACK_ROWS // len(scales))
+    for start in range(0, cfg["samples"], per_stack):
+        ks = range(start, min(cfg["samples"], start + per_stack))
+        states, raws = _draws(seed, ks, dim_in, d1 * d2, cfg["kraus_rank"], state)
+        rho, p, v = _stacked(states)
+        # rows are stacked by the shape of their twirled operators, which the scale sets
+        by_shape = {}
+        for s, (h_in, _, _, h_total) in enumerate(levels):
+            ops = _twirled_ops(raws, h_in, h_total)
+            by_shape.setdefault(ops.shape, []).append((s, ops))
+        chunk = [None] * (len(ks) * len(scales))
+        for group in by_shape.values():
+            si = np.repeat([s for s, _ in group], len(ks))
+            ki = np.tile(np.arange(len(ks)), len(group))
+            ops = group[0][1] if len(group) == 1 else np.concatenate([ops for _, ops in group])
+            h_in, h1, h2, h_total = (e[si] for e in entries)
+            f_in, f1, f2, e2, _, lhs, rhs, margin, satisfied, residual = (
+                column.tolist()
+                for column in _copy_bound_rows(
+                    rho[ki], p[ki], v[ki], h_in, ops, h1, h2, h_total, ground[si]
+                )
+            )
+            samples = [ks[k] for k in ki.tolist()]
+            group_rows = _rows(
+                len(samples),
+                sample_id=samples,
+                seed=[seed + k for k in samples],
+                dim_in=dim_in,
+                dim_out1=d1,
+                dim_out2=d2,
+                f_in=f_in,
+                f1=f1,
+                f2=f2,
+                e2=e2,
+                lhs=lhs,
+                rhs=rhs,
+                margin=margin,
+                satisfied=satisfied,
+                covariance_residual=residual,
+                kraus_rank=cfg["kraus_rank"],
+                energy_scale=[scales[s] for s in si.tolist()],
+                clock=cfg["clock"],
+            )
+            for row, s, k in zip(group_rows, si.tolist(), ki.tolist()):
+                chunk[k * len(scales) + s] = row
+        rows += chunk
     return rows
 
 
-def _monotonicity_sample(config: dict, base_seed: int, index: int) -> list:
-    dim = config["dim"]
-    dim_out = config["dim_out"]
-    kraus_rank = config["kraus_rank"]
-    sub_seed = base_seed + index
-    rng = np.random.default_rng(sub_seed)
-
-    h_in = ladder_hamiltonian(dim, 1.0)
-    h_out = ladder_hamiltonian(dim_out, 1.0)
-    clock = ClockSystem(random_density(dim, 1 + index % dim, rng), h_in)
-    channel = covariant_twirl(random_channel(dim, dim_out, kraus_rank, rng), h_in, h_out)
-    report = monotonicity_check(clock, channel, h_out)
-    return [
-        _row(
-            report,
-            sample_id=index,
-            seed=sub_seed,
+def _monotonicity_sweep(cfg: dict, seed: int) -> list:
+    dim, dim_out = cfg["dim"], cfg["dim_out"]
+    h_in, h_out = ladder_hamiltonian(dim, 1.0), ladder_hamiltonian(dim_out, 1.0)
+    rows = []
+    for start in range(0, cfg["samples"], _STACK_ROWS):
+        ks = range(start, min(cfg["samples"], start + _STACK_ROWS))
+        states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])
+        f_in, f_out, residual, holds, margin = (
+            column.tolist()
+            for column in _monotonicity_rows(
+                *_stacked(states),
+                np.broadcast_to(h_in.entries, (len(ks), dim, dim)),
+                _twirled_ops(raws, h_in, h_out),
+                np.broadcast_to(h_out.entries, (len(ks), dim_out, dim_out)),
+            )
+        )
+        rows += _rows(
+            len(ks),
+            sample_id=list(ks),
+            seed=[seed + k for k in ks],
             dim_in=dim,
-            kraus_rank=kraus_rank,
             dim_out1=dim_out,
-            f1=report.f_out,
-            lhs=report.f_in,
-            rhs=report.f_out,
-            margin=report.margin,
-            satisfied=report.holds,
+            f_in=f_in,
+            f1=f_out,
+            lhs=f_in,
+            rhs=f_out,
+            margin=margin,
+            satisfied=holds,
+            covariance_residual=residual,
+            kraus_rank=cfg["kraus_rank"],
             clock="random",
         )
-    ]
+    return rows
 
 
 def _normalize_config(config: dict) -> dict:
@@ -419,17 +525,18 @@ def _normalize_config(config: dict) -> dict:
 def sweep(config: dict, seed=None) -> SweepResult:
     """Run a seeded Monte-Carlo sweep of copy-bound or monotonicity checks.
 
-    Samples run in index order, and sample k derives its own sub-seed as
-    seed + k, so a row depends only on its sub-seed and the config.  The seed
-    comes only from the ``seed`` argument; a ``seed`` field in the config is
-    not read.
+    Samples are drawn in index order, and sample k derives its own sub-seed
+    as seed + k; a random clock also takes its rank, 1 + k mod dim, from k.
+    Rows are evaluated in stacks (see the module docstring), and a row does
+    not depend on the stack it is in.  The seed comes only from the ``seed``
+    argument; a ``seed`` field in the config is not read.
     """
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"sweep needs a non-negative integer seed argument (--seed), got {seed!r}")
     cfg = _normalize_config(config)
     samples = cfg["samples"]
-    sample_fn = _copy_bound_sample if cfg["experiment"] == "copy_bound" else _monotonicity_sample
-    rows = [row for index in range(samples) for row in sample_fn(cfg, seed, index)]
+    run = _copy_bound_sweep if cfg["experiment"] == "copy_bound" else _monotonicity_sweep
+    rows = run(cfg, seed)
 
     margins = [row["margin"] for row in rows]
     summary = {

@@ -57,8 +57,11 @@ is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
 C = V^T conj(V) this is the Choi matrix of the operators P_c K_m.  So a
 channel that carries a factor is twirled in that form: every K_m is rotated
 into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
-back, and the result carries the classes * r masked operators.  No n x n
-matrix is formed, and the raw channel's ``choi`` is never read.  A channel
+back, and the result carries the classes * r masked operators.  When both
+Hamiltonians are diagonal, as ladders and their sums are, the computational
+basis is an eigenbasis, and the operators are masked there with no
+rotation; the kept entries are the same numbers.  No n x n matrix is formed,
+and the raw channel's ``choi`` is never read.  A channel
 given only as a Choi matrix takes the Choi-matrix twirl.  Such are a channel
 read from a JSON file, :func:`identity_channel`, the output of the
 Choi-matrix twirl, and a channel of more than din*dout operators.  For ladder
@@ -94,12 +97,22 @@ and none of the following reads ``choi``:
   (16, 4, 4) ladder row).  Otherwise ``choi`` is formed and the commutator
   measured as for any channel, so the verdict is the Choi check's either
   way.  A covariant channel given by operators that mix frequencies (a
-  unitary mix of twirled operators) is accepted by that fallback.
+  unitary mix of twirled operators) is accepted by that fallback.  For
+  diagonal Hamiltonians D_m is formed as a row and a column scaling of K_m:
+  the same products as the matrix products, with no matmul.
 - Apply: :func:`apply_to_matrix` sums the stack of r products K_m X K_m†.
 
-So a (16, 4, 4) copy-bound sweep row forms no Choi matrix, and takes ~1.9 ms
-against ~6.5 ms when it gated and applied the twirled channel through its
-Choi matrix; a (32, 6, 6) row takes ~12 ms against ~108 ms (same box).
+These checks run on stacks of channels.  The private kernels
+:func:`_cptp_rows`, :func:`_covariance_rows` and :func:`_apply_rows` take
+either Kraus stacks (B, r, dout, din) or Choi matrices (B, n, n), with a
+leading row axis, and treat each row on its own.  :func:`validate_cptp`,
+:func:`is_covariant` and :func:`apply_to_matrix` call them with a stack of
+one row, and ``bounds.sweep`` with the twirled channels of many rows.
+
+So a (16, 4, 4) copy-bound sweep row forms no Choi matrix.  A one-sample
+sweep there takes ~2.0 ms (~2.2 ms with the checks run row by row), and a
+ten-sample sweep ~1.5 ms per row (~2.1 ms); a row of a three-sample
+(32, 6, 6) sweep takes ~11 ms (~14 ms) (same box, seed 1).
 
 Block spectrum
 --------------
@@ -206,6 +219,26 @@ def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChann
     return channel
 
 
+def _channel_ops(channel: QuantumChannel) -> np.ndarray:
+    """The channel as the private kernels take it: its Kraus stack, or its Choi matrix when it keeps none."""
+    return channel.choi if channel.kraus is None else channel.kraus
+
+
+def _apply_rows(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each channel of a stack applied to the matching matrix of x (B, din, din).
+
+    ``ops`` is a stack of Kraus stacks (B, r, dout, din) or of Choi matrices
+    (B, n, n), as from :func:`_channel_ops`.
+    """
+    if ops.ndim == 4:
+        # stacked: one flat (r*dout, din) product crosses OpenBLAS's threading threshold
+        return (ops @ x[:, None] @ ops.conj().swapaxes(-1, -2)).sum(1)
+    dim_in = x.shape[-1]
+    dim_out = ops.shape[-1] // dim_in
+    c5 = ops.reshape(len(ops), dim_in, dim_out, dim_in, dim_out)
+    return np.einsum("kiajb,kij->kab", c5, x)
+
+
 def apply_to_matrix(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
     """Linear action of the channel on an arbitrary matrix (no state validation)."""
     x = np.asarray(x, dtype=complex)
@@ -213,11 +246,7 @@ def apply_to_matrix(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix shape {x.shape} does not match channel input dim {channel.dim_in}"
         )
-    if channel.kraus is not None:
-        # stacked: one flat (r*dout, din) product crosses OpenBLAS's threading threshold
-        return (channel.kraus @ x @ channel.kraus.conj().transpose(0, 2, 1)).sum(0)
-    c4 = channel.choi.reshape(channel.dim_in, channel.dim_out, channel.dim_in, channel.dim_out)
-    return np.einsum("iajb,ij->ab", c4, x)
+    return _apply_rows(_channel_ops(channel)[None], x[None])[0]
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -284,6 +313,26 @@ def _choi_blocks(choi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return stacks
 
 
+def _cptp_rows(ops: np.ndarray, dim_in: int, dim_out: int) -> tuple:
+    """CP violations, TP violations and largest diagonalised blocks (B,) of a stack of channels.
+
+    ``ops`` is as for :func:`_apply_rows`.  A Kraus stack is CP by
+    construction and reports 0.0 and block 0; each Choi matrix is measured on
+    its decoupled blocks.
+    """
+    cp, largest = np.zeros(len(ops)), np.zeros(len(ops), dtype=int)
+    if ops.ndim == 4:
+        # sum_m K_m† K_m is the transpose of the Choi marginal below
+        marginal = (ops.conj().swapaxes(-1, -2) @ ops).sum(1)
+    else:
+        for b, choi in enumerate(ops):
+            stacks = _choi_blocks(choi)
+            min_eig = min(float(np.linalg.eigvalsh(blocks)[:, 0].min()) for _, blocks in stacks)
+            cp[b], largest[b] = max(0.0, -min_eig), stacks[-1][0].shape[1]
+        marginal = _partial_trace_matrix(ops, dim_in, dim_out, keep=1)
+    return cp, np.abs(marginal - np.eye(dim_in)).max(axis=(-2, -1)), largest
+
+
 def validate_cptp(channel: QuantumChannel) -> CptpReport:
     """Measure how far the channel is from completely positive and trace preserving.
 
@@ -293,21 +342,13 @@ def validate_cptp(channel: QuantumChannel) -> CptpReport:
     them alone (see "Kraus form" in the module docstring).  ``ok`` holds when
     both violations stay within ``CPTP_TOL``.
     """
-    if channel.kraus is not None:
-        # sum_m K_m† K_m is the transpose of the Choi marginal below
-        marginal = (channel.kraus.conj().transpose(0, 2, 1) @ channel.kraus).sum(0)
-        cp_violation, largest_block = 0.0, 0
-    else:
-        stacks = _choi_blocks(channel.choi)
-        min_eig = min(float(np.linalg.eigvalsh(blocks)[:, 0].min()) for _, blocks in stacks)
-        cp_violation, largest_block = max(0.0, -min_eig), int(stacks[-1][0].shape[1])
-        marginal = _partial_trace_matrix(channel.choi, channel.dim_in, channel.dim_out, keep=1)
-    tp_violation = float(np.abs(marginal - np.eye(channel.dim_in)).max())
+    cp, tp, largest = _cptp_rows(_channel_ops(channel)[None], channel.dim_in, channel.dim_out)
+    cp_violation, tp_violation = float(cp[0]), float(tp[0])
     return CptpReport(
         cp_violation,
         tp_violation,
         ok=cp_violation <= CPTP_TOL and tp_violation <= CPTP_TOL,
-        largest_block=largest_block,
+        largest_block=int(largest[0]),
     )
 
 
@@ -354,23 +395,52 @@ def _check_hamiltonian_dims(channel: QuantumChannel, h_in: Hamiltonian, h_out: H
         )
 
 
-def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> float:
+def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
     """Upper bound 2 sum_m max|r_m| max|K_m| on the max-abs entry of [K, C], C = sum_m v_m v_m†.
 
     ``r_m = D_m - w_m K_m`` with ``D_m = H_out K_m - K_m H_in`` and the real
     ``w_m = Re<K_m, D_m> / ||K_m||^2`` (0 for a zero operator); see "Kraus
-    form" in the module docstring.
+    form" in the module docstring.  Leading axes of ``kraus`` (..., r, dout,
+    din) and of the Hamiltonian entries (..., d, d) broadcast, one bound per
+    operator stack.
     """
-    shape = (len(kraus), kraus.shape[1] * kraus.shape[2])
-    flat_k = kraus.reshape(shape)
-    flat_d = (h_out @ kraus - kraus @ h_in).reshape(shape)
+    flat_k = kraus.reshape(*kraus.shape[:-2], -1)
+    e_in, e_out = _diagonal(h_in), _diagonal(h_out)
+    if e_in is None or e_out is None:
+        flat_d = h_out[..., None, :, :] @ kraus - kraus @ h_in[..., None, :, :]
+    else:  # the products of H_out K and K H_in, as row and column scalings
+        flat_d = e_out[..., None, :, None] * kraus - kraus * e_in[..., None, None, :]
+    flat_d = flat_d.reshape(flat_k.shape)
     # Re<a, b> is the real dot product of the interleaved real and imaginary parts
     real_k = flat_k.view(float)
-    weight = np.einsum("mi,mi->m", real_k, real_k)
-    overlap = np.einsum("mi,mi->m", real_k, flat_d.view(float))
+    weight = np.einsum("...i,...i->...", real_k, real_k)
+    overlap = np.einsum("...i,...i->...", real_k, flat_d.view(float))
     omega = np.divide(overlap, weight, out=np.zeros_like(weight), where=weight > 0)
-    residual = np.abs(flat_d - omega[:, None] * flat_k).max(axis=1, initial=0.0)
-    return float(2.0 * residual @ np.abs(flat_k).max(axis=1, initial=0.0))
+    residual = np.abs(flat_d - omega[..., None] * flat_k).max(axis=-1, initial=0.0)
+    scale = np.abs(flat_k).max(axis=-1, initial=0.0)
+    return np.einsum("...m,...m->...", 2.0 * residual, scale)
+
+
+def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> float:
+    """Max-abs entry of [K, C] for a Choi matrix C and Hamiltonian entries; see :func:`is_covariant`."""
+    kc = _kron_rows(None, h_out, choi)
+    kc -= _kron_rows(h_in.T, None, choi)
+    return float(_hermitian_deviation(kc)[0])
+
+
+def _covariance_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
+    """Covariance residual (B,) of each channel of a stack for Hamiltonian entries (B, d, d).
+
+    ``ops`` is as for :func:`_apply_rows`.  A Kraus stack is first offered
+    the certificate of :func:`_kraus_covariance_bound`; a row it rejects, and
+    every Choi row, is measured on its Choi matrix.
+    """
+    if ops.ndim != 4:
+        return np.array([_choi_covariance_residual(*row) for row in zip(ops, h_in, h_out)])
+    residual = _kraus_covariance_bound(ops, h_in, h_out)
+    for b in np.flatnonzero(~(residual <= COVARIANCE_TOL)):
+        residual[b] = _choi_covariance_residual(_kraus_choi(ops[b]), h_in[b], h_out[b])
+    return residual
 
 
 def is_covariant(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> CovarianceReport:
@@ -385,14 +455,8 @@ def is_covariant(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian)
     reported residual and no Choi matrix is formed.
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    if channel.kraus is not None:
-        bound = _kraus_covariance_bound(channel.kraus, h_in.entries, h_out.entries)
-        if bound <= COVARIANCE_TOL:
-            return CovarianceReport(residual=bound, is_covariant=True)
-    c = channel.choi
-    kc = _kron_rows(None, h_out.entries, c)
-    kc -= _kron_rows(h_in.entries.T, None, c)
-    residual = _hermitian_deviation(kc)[0]
+    ops = _channel_ops(channel)[None]
+    residual = float(_covariance_rows(ops, h_in.entries[None], h_out.entries[None])[0])
     return CovarianceReport(residual=residual, is_covariant=residual <= COVARIANCE_TOL)
 
 
@@ -409,6 +473,57 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
     return classes
 
 
+def _diagonal(h: np.ndarray) -> np.ndarray | None:
+    """The real diagonals (..., d) of a stack of Hamiltonian entries (..., d, d) that are all
+    diagonal, else None."""
+    diagonal = np.diagonal(h, axis1=-2, axis2=-1)
+    return diagonal.real if np.count_nonzero(h) == np.count_nonzero(diagonal) else None
+
+
+def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
+    """Frequency class of each eigenbasis Choi index i*dout + a, whose frequency is e_out[a] - e_in[i]."""
+    nu = (e_out[None, :] - e_in[:, None]).reshape(-1)
+    return _frequency_classes(nu, FREQ_TOL)
+
+
+def _twirl_kraus(kraus: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
+    """Twirled operators (B, classes * r, dout, din) of a stack of operator stacks (B, r, dout, din).
+
+    Every operator is rotated into the eigenbases, masked once per frequency
+    class and rotated back (see "Kraus form" in the module docstring).  When
+    both Hamiltonians are diagonal the computational basis is an eigenbasis,
+    and the operators are masked there with no rotation.
+    """
+    e_in, e_out = _diagonal(h_in.entries), _diagonal(h_out.entries)
+    rotate = e_in is None or e_out is None
+    if rotate:
+        e_in, e_out = h_in.eigenvalues, h_out.eigenvalues
+        u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
+        kraus = u_out.conj().T @ kraus @ u_in
+    # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
+    labels = _twirl_classes(e_in, e_out).reshape(h_in.dim, h_out.dim).T
+    masks = labels == np.arange(labels.max() + 1)[:, None, None]
+    masked = np.where(masks[:, None], kraus[:, None], 0)
+    if rotate:
+        masked = u_out @ masked @ u_in.conj().T
+    return masked.reshape(len(kraus), -1, h_out.dim, h_in.dim)
+
+
+def _twirled_ops(channels: list, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
+    """Operators of ``covariant_twirl(c, h_in, h_out)`` for channels drawn alike, as one stack.
+
+    The twirled channels' Kraus stacks (B, r, dout, din) when they keep them,
+    else their Choi matrices (B, n, n): the form :func:`_channel_ops` gives
+    each twirled channel.
+    """
+    if channels[0].kraus is None:
+        return np.stack([covariant_twirl(c, h_in, h_out).choi for c in channels])
+    kraus = _twirl_kraus(np.stack([c.kraus for c in channels]), h_in, h_out)
+    if kraus.shape[1] > h_in.dim * h_out.dim:  # as in _kraus_channel
+        return np.stack([_kraus_choi(k) for k in kraus])
+    return kraus
+
+
 def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> QuantumChannel:
     """Project the channel onto the covariant ones for (h_in, h_out).
 
@@ -421,18 +536,11 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     docstring).
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-    # nu[i*dout + a] = E_out[a] - E_in[i]; mismatch of entry (r, c) is nu[r] - nu[c]
-    nu = (h_out.eigenvalues[None, :] - h_in.eigenvalues[:, None]).reshape(-1)
-    classes = _frequency_classes(nu, FREQ_TOL)
     if channel.kraus is not None:
-        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
-        labels = classes.reshape(channel.dim_in, channel.dim_out).T
-        masks = labels == np.arange(labels.max() + 1)[:, None, None]
-        rotated = u_out.conj().T @ channel.kraus @ u_in
-        masked = np.where(masks[:, None], rotated, 0)
-        kraus = (u_out @ masked @ u_in.conj().T).reshape(-1, channel.dim_out, channel.dim_in)
+        kraus = _twirl_kraus(channel.kraus[None], h_in, h_out)[0]
         return _kraus_channel(channel.dim_in, channel.dim_out, kraus)
+    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
+    classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
     # W = conj(U_in) (x) U_out; c_eig = W† C W and the result is W (c_eig * mask) W†
     c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
     mask = classes[:, None] == classes[None, :]
@@ -515,11 +623,12 @@ def random_channel(dim_in: int, dim_out: int, kraus_rank: int, seed) -> QuantumC
 
 
 def _partial_trace_matrix(x: np.ndarray, d1: int, d2: int, keep: int) -> np.ndarray:
-    x4 = x.reshape(d1, d2, d1, d2)
+    """Factor ``keep`` of each bipartite matrix of a stack (..., d1*d2, d1*d2)."""
+    x4 = x.reshape(*x.shape[:-2], d1, d2, d1, d2)
     if keep == 1:
-        return np.einsum("ikjk->ij", x4)
+        return np.einsum("...ikjk->...ij", x4)
     if keep == 2:
-        return np.einsum("kikj->ij", x4)
+        return np.einsum("...kikj->...ij", x4)
     raise DomainError(f"keep must be 1 or 2, got {keep!r}")
 
 

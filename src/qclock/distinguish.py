@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NumericalDegeneracyError
-from .states import ClockSystem, DensityMatrix, _gap_labels, evolve
+from .states import ClockSystem, DensityMatrix, _evolve_rows, _gap_labels
 
 INVARIANCE_TOL = 1e-9
 NULLSPACE_RTOL = 1e-10
@@ -293,14 +293,11 @@ def conserved_block_traces(clock: ClockSystem, times) -> BlockTraceReport:
     v = clock.hamiltonian.eigenvectors
     labels = _gap_labels(w, DISTINGUISH_TOL)
     groups = np.split(np.arange(w.size), np.cumsum(np.bincount(labels))[:-1])
-
-    rows = []
-    for t in times:
-        rho_t = evolve(clock, float(t)).entries
-        rows.append(
-            [float(np.real(np.trace(v[:, g].conj().T @ rho_t @ v[:, g]))) for g in groups]
-        )
-    block_traces = np.array(rows)
+    rho_t = _evolve_rows(clock, times)[0]  # every evolved state at once
+    block_traces = np.stack(
+        [np.trace(v[:, g].conj().T @ rho_t @ v[:, g], axis1=-2, axis2=-1).real for g in groups],
+        axis=1,
+    )
     max_dev = float((block_traces.max(axis=0) - block_traces.min(axis=0)).max())
     return BlockTraceReport(
         block_traces=block_traces, max_deviation=max_dev, conserved=max_dev <= DISTINGUISH_TOL

@@ -33,10 +33,15 @@ PROB_FLOOR = 1e-300
 MOVED_MASS_TOL = 1e-12
 
 
+def _rho_dot(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """i[H, rho] of each pair of a stack (..., d, d)."""
+    hr = h @ rho
+    return 1j * (hr - hr.conj().swapaxes(-1, -2))
+
+
 def rho_dot(clock: ClockSystem) -> np.ndarray:
     """Generator of the clock orbit, i[H, rho]; Hermitian and traceless."""
-    hr = clock.hamiltonian.entries @ clock.state.entries
-    return 1j * (hr - hr.conj().T)
+    return _rho_dot(clock.hamiltonian.entries, clock.state.entries)
 
 
 @dataclass(frozen=True)
@@ -49,25 +54,39 @@ class SldResult:
     kernel_dim: int
 
 
+def _fisher_rows(h, rho, p, v) -> tuple:
+    """Fisher timing information of each clock of a stack, from its state's ``eigh``.
+
+    ``h`` and ``rho`` are stacks (B, d, d) of Hamiltonians and states, ``p``
+    (B, d) and ``v`` (B, d, d) the states' eigenvalues and eigenvectors.
+    Returns F (B,) with the terms it is summed from: rho_dot in the
+    eigenbases, the pair sums p_k + p_l and the mask of kept pairs.  No SLD
+    matrix is formed.
+    """
+    r_eig = v.conj().swapaxes(-1, -2) @ _rho_dot(h, rho) @ v
+    denom = p[:, :, None] + p[:, None, :]
+    keep = denom > SLD_CUTOFF
+    terms = np.divide(2.0 * np.abs(r_eig) ** 2, denom, out=np.zeros(denom.shape), where=keep)
+    return terms.reshape(len(terms), -1).sum(axis=1), r_eig, denom, keep
+
+
 def qfi(clock: ClockSystem) -> SldResult:
     """Quantum Fisher timing information via the SLD pseudo-inverse formula.
 
     In the eigenbasis of rho with eigenvalues p_k the SLD has entries
     L_kl = 2 rho_dot_kl / (p_k + p_l) wherever p_k + p_l > ``SLD_CUTOFF``
     (zero elsewhere), and F = sum 2 |rho_dot_kl|^2 / (p_k + p_l) over the kept
-    pairs.
+    pairs.  F is :func:`_fisher_rows` of this one clock.
     """
-    rdot = rho_dot(clock)
-    p, v = clock.state.eigenvalues, clock.state.eigenvectors
-    r_eig = v.conj().T @ rdot @ v
-    denom = p[:, None] + p[None, :]
-    keep = denom > SLD_CUTOFF
-    l_eig = np.zeros_like(r_eig)
-    l_eig[keep] = 2.0 * r_eig[keep] / denom[keep]
-    fisher = float(np.sum(2.0 * np.abs(r_eig[keep]) ** 2 / denom[keep]))
+    state = clock.state
+    v = state.eigenvectors
+    fisher, r_eig, denom, keep = _fisher_rows(
+        clock.hamiltonian.entries[None], state.entries[None], state.eigenvalues[None], v[None]
+    )
+    l_eig = np.divide(2.0 * r_eig[0], denom[0], out=np.zeros_like(r_eig[0]), where=keep[0])
     sld = v @ l_eig @ v.conj().T
     sld = (sld + sld.conj().T) / 2
-    return SldResult(sld=sld, fisher_info=fisher, kernel_dim=int(np.count_nonzero(~keep)))
+    return SldResult(sld=sld, fisher_info=float(fisher[0]), kernel_dim=int(np.count_nonzero(~keep)))
 
 
 class ClassicalSignalFamily:

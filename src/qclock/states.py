@@ -26,37 +26,77 @@ def _as_complex_square(entries, what: str) -> np.ndarray:
     return mat
 
 
-def _hermitian_deviation(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max-abs entry of a square M - M†, and M† as a fresh array laid out like M.
+def _hermitian_deviation(mat: np.ndarray) -> tuple:
+    """Max-abs entry of M - M† for each matrix of a stack (..., d, d), and M† laid out like M.
 
     The adjoint is copied into M's layout, so the subtraction reads both
     operands in order.  A NaN or infinite entry makes the deviation NaN or
-    infinite.
+    infinite.  A single matrix gives a scalar deviation.
     """
-    adjoint = np.conjugate(mat.T, out=np.empty_like(mat))
+    adjoint = np.conjugate(mat.swapaxes(-1, -2), out=np.empty_like(mat))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        return float(np.abs(mat - adjoint).max()), adjoint
+        return np.abs(mat - adjoint).max(axis=(-2, -1)), adjoint
 
 
-def _hermitize(entries, what: str) -> np.ndarray:
-    """Symmetrize (M + M†)/2, rejecting matrices that are not Hermitian to float noise.
+def _hermitize_rows(mats: np.ndarray, what: str) -> np.ndarray:
+    """Symmetrize (M + M†)/2 each matrix of a complex stack (B, d, d), rejecting any that is
+    not Hermitian to float noise.
 
-    The deviation also rejects non-finite matrices.  The result is written
-    into the adjoint's buffer.
+    The deviation also rejects non-finite matrices; the first rejected matrix
+    of the stack names the error.  The result is written into the adjoint's
+    buffer.
     """
-    mat = _as_complex_square(entries, what)
-    dev, out = _hermitian_deviation(mat)
-    if not dev <= HERMITIAN_TOL:
+    dev, out = _hermitian_deviation(mats)
+    if not dev.max() <= HERMITIAN_TOL:  # NaN fails too
+        dev = float(dev[~(dev <= HERMITIAN_TOL)][0])
         reason = (
             f"is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
             if np.isfinite(dev)
             else "has non-finite entries"
         )
         raise ValidationError(f"{what} {reason}", detail={"deviation": dev})
-    out += mat
+    out += mats
     out /= 2
     out.setflags(write=False)
     return out
+
+
+def _hermitize(entries, what: str) -> np.ndarray:
+    """:func:`_hermitize_rows` of one square matrix, checked for shape and cast to complex."""
+    return _hermitize_rows(_as_complex_square(entries, what)[None], what)[0]
+
+
+def _spectral_rows(mats: np.ndarray, what: str) -> tuple:
+    """Symmetrized stack (B, d, d) with its ``eigh`` eigenvalues (B, d) and eigenvectors (B, d, d)."""
+    sym = _hermitize_rows(mats, what)
+    return (sym, *np.linalg.eigh(sym))
+
+
+def _density_checks(entries: np.ndarray, eigenvalues: np.ndarray):
+    """PSD and trace checks of a stack of symmetrized states and their ascending eigenvalues.
+
+    The first state of the stack that fails raises, with the PSD check first.
+    """
+    lows = eigenvalues[:, 0].tolist()
+    traces = entries.trace(axis1=-2, axis2=-1).real.tolist()
+    for low, tr in zip(lows, traces):
+        if low < -PSD_TOL:
+            raise ValidationError(
+                f"density matrix is not positive semidefinite: min eigenvalue {low:.3e}",
+                detail={"min_eigenvalue": low},
+            )
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(
+                f"density matrix trace {tr!r} differs from 1 by more than {TRACE_TOL:.1e}",
+                detail={"trace": tr},
+            )
+
+
+def _density_rows(mats: np.ndarray) -> tuple:
+    """:func:`_spectral_rows` of a stack of states, each checked as a ``DensityMatrix`` is."""
+    sym, w, v = _spectral_rows(mats, "density matrix")
+    _density_checks(sym, w)
+    return sym, w, v
 
 
 def _gap_labels(sorted_values: np.ndarray, gap: float) -> np.ndarray:
@@ -81,8 +121,8 @@ class _Spectral:
     """
 
     def __init__(self, entries):
-        entries = _hermitize(entries, self._what)
-        self._keep(entries, *np.linalg.eigh(entries))
+        sym, w, v = _spectral_rows(_as_complex_square(entries, self._what)[None], self._what)
+        self._keep(sym[0], w[0], v[0])
 
     @classmethod
     def _from_decomposition(cls, entries, eigenvalues, eigenvectors):
@@ -112,17 +152,7 @@ class DensityMatrix(_Spectral):
 
     def _keep(self, entries, eigenvalues, eigenvectors):
         super()._keep(entries, eigenvalues, eigenvectors)
-        if eigenvalues[0] < -PSD_TOL:
-            raise ValidationError(
-                f"density matrix is not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}",
-                detail={"min_eigenvalue": float(eigenvalues[0])},
-            )
-        tr = entries.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"density matrix trace {tr!r} differs from 1 by more than {TRACE_TOL:.1e}",
-                detail={"trace": float(tr)},
-            )
+        _density_checks(entries[None], eigenvalues[None])
 
     def purity(self) -> float:
         """tr(rho^2); equals 1 for pure states."""
@@ -136,8 +166,13 @@ class Hamiltonian(_Spectral):
 
     def propagator(self, t: float) -> np.ndarray:
         """Unitary exp(-iHt) from the kept decomposition."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        return _propagators(self, np.array([t]))[0]
+
+
+def _propagators(h: Hamiltonian, times: np.ndarray) -> np.ndarray:
+    """exp(-iHt) at each of the times (T,), as a stack (T, d, d), from the kept decomposition."""
+    phases = np.exp(-1j * h.eigenvalues * times[:, None])
+    return (h.eigenvectors * phases[:, None, :]) @ h.eigenvectors.conj().T
 
 
 class ClockSystem:
@@ -164,12 +199,25 @@ class EnergyMoments(NamedTuple):
 
 def evolve(clock: ClockSystem, t: float) -> DensityMatrix:
     """Conjugate the clock state by exp(-iHt); the spectrum is kept and the eigenvectors rotated."""
-    if not np.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    u, rho = clock.hamiltonian.propagator(t), clock.state
-    return DensityMatrix._from_decomposition(
-        u @ rho.entries @ u.conj().T, rho.eigenvalues, u @ rho.eigenvectors
-    )
+    entries, u = _evolve_rows(clock, np.array([t]))
+    rho = clock.state
+    return DensityMatrix._from_decomposition(entries[0], rho.eigenvalues, u[0] @ rho.eigenvectors)
+
+
+def _evolve_rows(clock: ClockSystem, times: np.ndarray) -> tuple:
+    """The clock state conjugated by exp(-iHt) at each of the times (T,), as one stack.
+
+    Returns the states (T, d, d), symmetrized and checked as a
+    ``DensityMatrix`` with the clock state's spectrum, and the propagators
+    (T, d, d).
+    """
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise DomainError(f"time must be finite, got {times[~finite][0].item()!r}")
+    u, rho = _propagators(clock.hamiltonian, times), clock.state
+    entries = _hermitize_rows(u @ rho.entries @ u.conj().swapaxes(-1, -2), "density matrix")
+    _density_checks(entries, np.broadcast_to(rho.eigenvalues, (len(times), rho.dim)))
+    return entries, u
 
 
 def energy_moments(clock: ClockSystem) -> EnergyMoments:
@@ -220,8 +268,13 @@ def equal_superposition_clock(n: int, quantum: float) -> ClockSystem:
         raise DomainError(f"need at least one level, got {n}")
     if not (quantum > 0):
         raise DomainError(f"energy quantum must be positive, got {quantum!r}")
+    return ClockSystem(_equal_superposition(n), ladder_hamiltonian(n, quantum))
+
+
+def _equal_superposition(n: int) -> DensityMatrix:
+    """The flat superposition of ``n`` levels, the state of :func:`equal_superposition_clock`."""
     psi = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    return ClockSystem(DensityMatrix(np.outer(psi, psi.conj())), ladder_hamiltonian(n, quantum))
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:

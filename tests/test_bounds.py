@@ -508,3 +508,132 @@ def test_copy_bound_with_one_dimensional_second_output():
         report = copy_bound_check(clock, broadcast, h1, h2)
         assert report.satisfied
         assert report.f2 <= 1e-12  # a 1-dim signal cannot tick
+
+
+# ---------------------------------------------------------------------------
+# stacked sweep rows: a row does not depend on the stack it is evaluated in
+# ---------------------------------------------------------------------------
+
+FLOAT_COLUMNS = ("f_in", "f1", "f2", "e2", "lhs", "rhs", "margin", "covariance_residual")
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _sample_draw(cfg, seed, k, dim, dim_out, clock):
+    """The state and raw channel of sweep sample k, drawn as the sweep documents it."""
+    rng = np.random.default_rng(seed + k)
+    if clock == "random":
+        state = random_density(dim, 1 + k % dim, rng)
+    else:
+        state = equal_superposition_clock(dim, 1.0).state
+    return state, random_channel(dim, dim_out, cfg.get("kraus_rank", 2), rng)
+
+
+def copy_bound_row_check(cfg, seed, row):
+    """copy_bound_check on the clock, broadcast and Hamiltonians that make up one sweep row."""
+    d, d1, d2 = cfg["dim_in"], cfg["dim_out1"], cfg["dim_out2"]
+    clock_kind = cfg.get("clock", "equal_superposition")
+    state, raw = _sample_draw(cfg, seed, row["sample_id"], d, d1 * d2, clock_kind)
+    quantum = cfg.get("energy_quantum", 1.0) * row["energy_scale"]
+    clock = ClockSystem(state, ladder_hamiltonian(d, quantum))
+    h1, h2 = ladder_hamiltonian(d1, quantum), ladder_hamiltonian(d2, quantum)
+    broadcast = covariant_twirl(raw, clock.hamiltonian, total_hamiltonian(h1, h2))
+    return copy_bound_check(clock, broadcast, h1, h2)
+
+
+STACKED_COPY_CFGS = {
+    # 1e-10 merges every frequency class: 2 twirled operators there, 12 at the other scales
+    "random-4-2-2": dict(
+        COPY_CFG, samples=5, dim_in=4, clock="random", energy_scales=[1e-10, 0.5, 1.0, 3.0]
+    ),
+    "equal-3-2-2": dict(COPY_CFG, samples=4, energy_scales=[1e-10, 1.0, 2.0]),
+    # 6 twirled operators on a 2 -> 2 channel: that row keeps only its Choi matrix
+    "choi-rows-2-2-1": dict(
+        COPY_CFG, samples=3, dim_in=2, dim_out2=1, clock="random", energy_scales=[1e-10, 1.0]
+    ),
+    # more operators than Choi entries: the raw channels are Choi matrices
+    "choi-raw-2-2-1": dict(
+        COPY_CFG, samples=3, dim_in=2, dim_out2=1, kraus_rank=5, energy_scales=[0.5, 1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_COPY_CFGS)
+def test_stacked_copy_bound_rows_are_their_single_checks_bit_for_bit(name):
+    cfg = STACKED_COPY_CFGS[name]
+    rows = sweep(cfg, seed=21).rows
+    assert len(rows) == cfg["samples"] * len(cfg["energy_scales"])
+    for row in rows:
+        report = copy_bound_row_check(cfg, 21, row)
+        assert _hex(row[c] for c in FLOAT_COLUMNS) == _hex(getattr(report, c) for c in FLOAT_COLUMNS)
+        assert row["satisfied"] is report.satisfied
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [dict(MONO_CFG, dim=4), dict(MONO_CFG, samples=4, dim=2, kraus_rank=5)],
+    ids=["kraus", "choi-raw"],
+)
+def test_stacked_monotonicity_rows_are_their_single_checks_bit_for_bit(cfg):
+    h_in, h_out = ladder_hamiltonian(cfg["dim"], 1.0), ladder_hamiltonian(cfg["dim_out"], 1.0)
+    for row in sweep(cfg, seed=22).rows:
+        state, raw = _sample_draw(cfg, 22, row["sample_id"], cfg["dim"], cfg["dim_out"], "random")
+        report = monotonicity_check(
+            ClockSystem(state, h_in), covariant_twirl(raw, h_in, h_out), h_out
+        )
+        single = (report.f_in, report.f_out, report.f_in, report.f_out, report.margin)
+        assert _hex(row[c] for c in ("f_in", "f1", "lhs", "rhs", "margin")) == _hex(single)
+        assert _hex([row["covariance_residual"]]) == _hex([report.covariance_residual])
+        assert row["satisfied"] is report.holds
+
+
+@pytest.mark.parametrize(
+    "cfg", [dict(COPY_CFG, samples=7, energy_scales=[1.0, 2.0]), dict(MONO_CFG, samples=7)]
+)
+def test_sweep_rows_do_not_depend_on_the_stack_size(monkeypatch, cfg):
+    from qclock import bounds
+
+    rows = sweep(cfg, seed=23).rows
+    monkeypatch.setattr(bounds, "_STACK_ROWS", 3)  # uneven stacks, split across samples
+    assert sweep(cfg, seed=23).rows == rows
+
+
+def test_a_stack_gates_each_row_as_its_single_check():
+    from qclock import QuantumChannel, bounds, channels
+
+    h_in = ladder_hamiltonian(3, 1.0)
+    h_out = total_hamiltonian(ladder_hamiltonian(2, 1.0), ladder_hamiltonian(2, 1.0))
+    twirled = covariant_twirl(random_channel(3, 4, 2, seed=12), h_in, h_out)
+    r = len(twirled.kraus)
+    q, _ = np.linalg.qr(np.random.default_rng(50).standard_normal((r, r)) + 0j)
+    # row 0: a unitary mix of twirled operators, covariant, but each operator mixes frequencies
+    mixed = channel_from_kraus(np.einsum("mn,nab->mab", q, twirled.kraus), 3, 4)
+    # row 1: a raw channel with as many operators, which is not covariant
+    raw = random_channel(3, 4, r, seed=13)
+    ops = np.stack([mixed.kraus, raw.kraus])
+    h_ins, h_outs = np.stack([h_in.entries] * 2), np.stack([h_out.entries] * 2)
+    clock = ClockSystem(random_density(3, 3, seed=14), h_in)
+
+    bound = channels._kraus_covariance_bound(ops, h_ins, h_outs)
+    assert bound[0] > channels.COVARIANCE_TOL  # the certificate refuses the mix
+    residual = channels._covariance_rows(ops, h_ins, h_outs)
+    fallback = is_covariant(QuantumChannel(3, 4, mixed.choi), h_in, h_out).residual
+    assert residual[0] == fallback <= channels.COVARIANCE_TOL
+    assert residual[0] == monotonicity_check(clock, mixed, h_out).covariance_residual
+    assert residual[1] > channels.COVARIANCE_TOL
+
+    with pytest.raises(PreconditionError, match="not covariant") as single:
+        monotonicity_check(clock, raw, h_out)
+    st = clock.state
+    with pytest.raises(PreconditionError) as stacked:
+        bounds._monotonicity_rows(
+            np.stack([st.entries] * 2),
+            np.stack([st.eigenvalues] * 2),
+            np.stack([st.eigenvectors] * 2),
+            h_ins,
+            ops,
+            h_outs,
+        )
+    assert str(stacked.value) == str(single.value)

@@ -236,6 +236,47 @@ def test_eigenvalue_groups_match_loop_definition(monkeypatch, seed):
     assert drawn_subspace_sizes(monkeypatch, flat, rng) == [5]
 
 
+def per_time_block_traces(clock, times):
+    """Reference: evolve the clock to each time on its own and trace each level group's block."""
+    w, v = clock.hamiltonian.eigenvalues, clock.hamiltonian.eigenvectors
+    groups = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > distinguish.DISTINGUISH_TOL) + 1)
+    return np.array([
+        [np.trace(v[:, g].conj().T @ evolve(clock, t).entries @ v[:, g]).real for g in groups]
+        for t in times
+    ])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_block_traces_match_a_per_time_evolve_loop(seed):
+    # integer levels with multiplicities in a random eigenbasis, as in the decompose benchmark
+    rng = np.random.default_rng(seed)
+    d = 12
+    levels = np.sort(rng.integers(0, 5, size=d)).astype(float)
+    u = random_unitary(rng, d)
+    h = u @ np.diag(levels) @ u.conj().T
+    clock = ClockSystem(random_density(d, d, rng), Hamiltonian((h + h.conj().T) / 2))
+    times = rng.uniform(0.0, 10.0, size=6)
+    report = conserved_block_traces(clock, times)
+    loop = per_time_block_traces(clock, times)
+    assert report.block_traces.shape == loop.shape
+    assert np.abs(report.block_traces - loop).max() <= 1e-14
+    spread = float((loop.max(axis=0) - loop.min(axis=0)).max())
+    assert report.conserved == (spread <= distinguish.DISTINGUISH_TOL)
+    assert report.conserved
+
+
+def test_block_traces_check_every_evolved_state(monkeypatch):
+    from qclock import ValidationError, states
+
+    clock = equal_superposition_clock(3, 1.0)
+    with pytest.raises(DomainError, match="time must be finite"):
+        conserved_block_traces(clock, [0.0, 1.0, np.nan])
+    # the evolved states are still checked as Hermitian at HERMITIAN_TOL
+    monkeypatch.setattr(states, "HERMITIAN_TOL", -1.0)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        conserved_block_traces(clock, [0.0, 1.0])
+
+
 def test_block_traces_requires_times():
     clock = equal_superposition_clock(2, 1.0)
     with pytest.raises(DomainError):

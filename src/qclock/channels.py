@@ -418,7 +418,7 @@ def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarr
     omega = np.divide(overlap, weight, out=np.zeros_like(weight), where=weight > 0)
     residual = np.abs(flat_d - omega[..., None] * flat_k).max(axis=-1, initial=0.0)
     scale = np.abs(flat_k).max(axis=-1, initial=0.0)
-    return np.einsum("...m,...m->...", 2.0 * residual, scale)
+    return ((2.0 * residual)[..., None, :] @ scale[..., :, None])[..., 0, 0]
 
 
 def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> float:
@@ -474,8 +474,7 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
 
 
 def _diagonal(h: np.ndarray) -> np.ndarray | None:
-    """The real diagonals (..., d) of a stack of Hamiltonian entries (..., d, d) that are all
-    diagonal, else None."""
+    """Real diagonals (..., d) of Hamiltonian entries (..., d, d) when every matrix is diagonal."""
     diagonal = np.diagonal(h, axis1=-2, axis2=-1)
     return diagonal.real if np.count_nonzero(h) == np.count_nonzero(diagonal) else None
 

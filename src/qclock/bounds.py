@@ -27,20 +27,14 @@ row scales exactly with an energy scale lambda (F and <E^2> as lambda^2,
 reciprocals and margins as 1/lambda^2), which makes ``energy_scales`` a units
 check.
 
-A sweep draws every sample as before, from ``default_rng(seed + k)`` in index
-order, the state before the channel, and builds each Hamiltonian once per
-energy scale.  It then evaluates its rows as one stacked pass: the twirl,
-the gate, the channel's action, the checks of every output state, the three
-Fisher informations, <E^2> and the margin are array operations over a
-leading row axis.  There is one row kernel per experiment
-(:func:`_copy_bound_rows`, :func:`_monotonicity_rows`), and
-:func:`copy_bound_check` and :func:`monotonicity_check` run it on a stack of
-one row.  Only rows whose twirled channels have operator stacks of one shape
-share a stack (the number of frequency classes, and with it the number of
-twirled operators, changes with the energy scale), and at most
-``_STACK_ROWS`` rows are evaluated at a time.  Every step treats each row on
-its own, so a row's numbers are the same bits whichever stack it is in, and
-equal the single check on that row's clock and twirled channel.
+A sweep draws its samples in index order, each from ``default_rng(seed +
+k)``, and evaluates its rows in stacks: the twirl, the gate, the output
+states' checks, the Fisher informations, <E^2> and the margin run over a
+leading row axis, in one row kernel per experiment that the single checks
+run on one row.  A stack holds at most ``_STACK_ROWS`` rows whose twirled
+operator stacks share one shape (the class count changes with the energy
+scale).  Each row is treated on its own, so its bits do not depend on the
+stack it is in.
 """
 from __future__ import annotations
 
@@ -139,11 +133,9 @@ def _check_process_dims(clock: ClockSystem, channel: QuantumChannel, h_out: Hami
 def _require_covariant_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
     """Admit only CPTP channels covariant for (h_in, h_out); return each row's covariance residual.
 
-    ``ops`` is a stack of channels as ``channels._apply_rows`` takes it, with
-    Hamiltonian entries (B, d, d).  Non-covariant processing can legitimately
-    increase timing information, so such channels are rejected with guidance
-    to project them first.  The first row that fails raises, with the CPTP
-    check first.
+    ``ops`` is a stack of channels as ``channels._apply_rows`` takes it.
+    Non-covariant processing can legitimately increase timing information,
+    so the first row that fails raises, with guidance to project it first.
     """
     cp, tp, _ = _cptp_rows(ops, h_in.shape[-1], h_out.shape[-1])
     residual = _covariance_rows(ops, h_in, h_out)
@@ -162,16 +154,14 @@ def _require_covariant_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray
     return residual
 
 
-def _copy_bound_rows(rho, p, v, h_in, ops, h1, h2, h_total, ground) -> tuple:
-    """The copy-bound report of each row of a stack, as columns in ``CopyBoundReport`` order.
+def _copy_bound_rows(states, ops, h_in, h1, h2, h_total, ground) -> tuple:
+    """``CopyBoundReport`` columns of a stack of rows.
 
-    Row b is the clock state ``rho[b]`` (B, d, d) with its eigenvalues
-    ``p[b]`` and eigenvectors ``v[b]`` under ``h_in[b]``, the broadcast
-    ``ops[b]`` (as for :func:`_require_covariant_rows`), and the output
-    Hamiltonian entries ``h1[b]``, ``h2[b]``, ``h_total[b]`` with
-    ``ground[b]`` the least total energy.  Every step is a stacked array
-    operation, so a row's numbers do not depend on the stack it is in.
+    ``states`` holds the clock states' entries, eigenvalues and eigenvectors
+    as stacks, ``ops`` the broadcasts, the h's are Hamiltonian entries and
+    ``ground`` the least total energy, all with a leading row axis.
     """
+    rho, p, v = states
     residual = _require_covariant_rows(ops, h_in, h_total)
     out = _density_rows(_apply_rows(ops, rho))[0]
     d1, d2 = h1.shape[-1], h2.shape[-1]
@@ -206,18 +196,9 @@ def copy_bound_check(
     """
     h_total = total_hamiltonian(h1, h2)
     _check_process_dims(clock, broadcast, h_total)
-    state = clock.state
-    columns = _copy_bound_rows(
-        state.entries[None],
-        state.eigenvalues[None],
-        state.eigenvectors[None],
-        clock.hamiltonian.entries[None],
-        _channel_ops(broadcast)[None],
-        h1.entries[None],
-        h2.entries[None],
-        h_total.entries[None],
-        np.array([h1.eigenvalues[0] + h2.eigenvalues[0]]),
-    )
+    hs = (h.entries[None] for h in (clock.hamiltonian, h1, h2, h_total))
+    ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0]])
+    columns = _copy_bound_rows(_stacked([clock.state]), _channel_ops(broadcast)[None], *hs, ground)
     return CopyBoundReport(*(column[0].item() for column in columns))
 
 
@@ -261,12 +242,12 @@ class MonotonicityReport:
         return _margin(np.array(self.f_in), np.array(self.f_out))[0].item()
 
 
-def _monotonicity_rows(rho, p, v, h_in, ops, h_out) -> tuple:
-    """f_in, f_out, covariance residual, verdict and margin of each row of a stack.
+def _monotonicity_rows(states, ops, h_in, h_out) -> tuple:
+    """f_in, f_out, covariance residual, verdict and margin of a stack of rows.
 
-    The arguments are as for :func:`_copy_bound_rows`, with ``h_out`` the
-    output Hamiltonian entries.
+    The arguments are as for :func:`_copy_bound_rows`.
     """
+    rho, p, v = states
     residual = _require_covariant_rows(ops, h_in, h_out)
     f_in = _fisher_rows(h_in, rho, p, v)[0]
     f_out = _fisher_rows(h_out, *_density_rows(_apply_rows(ops, rho)))[0]
@@ -287,15 +268,8 @@ def monotonicity_check(
     :func:`_monotonicity_rows` of a stack of one row.
     """
     _check_process_dims(clock, channel, h_out)
-    state = clock.state
-    columns = _monotonicity_rows(
-        state.entries[None],
-        state.eigenvalues[None],
-        state.eigenvectors[None],
-        clock.hamiltonian.entries[None],
-        _channel_ops(channel)[None],
-        h_out.entries[None],
-    )
+    hs = (clock.hamiltonian.entries[None], h_out.entries[None])
+    columns = _monotonicity_rows(_stacked([clock.state]), _channel_ops(channel)[None], *hs)
     return MonotonicityReport(*(column[0].item() for column in columns[:4]))
 
 
@@ -362,8 +336,8 @@ def _field(config: dict, field: str, kind, default=_REQUIRED, choices=None):
 def _rows(n: int, **columns) -> list:
     """n sweep rows in frozen column order.
 
-    A list gives each row its own value and any other value is shared by all
-    rows; a column the experiment has no value for stays None.
+    A list gives each row its own value, any other value is shared by all
+    rows, and a column the experiment has no value for stays None.
     """
     names = CSV_COLUMNS + EXTRA_COLUMNS
     cells = [columns.get(name) for name in names]
@@ -372,48 +346,45 @@ def _rows(n: int, **columns) -> list:
 
 
 def _draws(seed: int, ks: range, dim: int, dim_out: int, kraus_rank: int, state=None) -> tuple:
-    """Clock states and raw channels of samples ks, each from ``default_rng(seed + k)``.
+    """Stacked clock states and the raw channels of samples ks, each from ``default_rng(seed + k)``.
 
-    Samples are drawn in index order, the state before the channel; a given
-    ``state`` serves every sample and draws nothing.
+    The state is drawn before the channel; a given ``state`` serves every
+    sample and draws nothing.
     """
     states, raws = [], []
     for k in ks:
         rng = np.random.default_rng(seed + k)
         states.append(random_density(dim, 1 + k % dim, rng) if state is None else state)
         raws.append(random_channel(dim, dim_out, kraus_rank, rng))
-    return states, raws
+    return _stacked(states), raws
 
 
 def _stacked(states: list) -> tuple:
     """Entries, eigenvalues and eigenvectors of a list of states, each as one stack."""
-    return tuple(
-        np.stack([getattr(st, name) for st in states])
-        for name in ("entries", "eigenvalues", "eigenvectors")
-    )
+    names = ("entries", "eigenvalues", "eigenvectors")
+    return tuple(np.stack([getattr(st, name) for st in states]) for name in names)
 
 
 def _copy_bound_sweep(cfg: dict, seed: int) -> list:
-    dim_in, d1, d2 = cfg["dim_in"], cfg["dim_out1"], cfg["dim_out2"]
-    quantum, scales = cfg["energy_quantum"], cfg["energy_scales"]
+    dim_in, d1, d2, scales = cfg["dim_in"], cfg["dim_out1"], cfg["dim_out2"], cfg["energy_scales"]
     levels = []
     for lam in scales:
-        h1 = ladder_hamiltonian(d1, quantum * lam)
-        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum * lam)
-        levels.append((ladder_hamiltonian(dim_in, quantum * lam), h1, h2, total_hamiltonian(h1, h2)))
-    # (scales, d, d) entries of h_in, h1, h2 and h_total, and the least total energy per scale
+        quantum = cfg["energy_quantum"] * lam
+        h1 = ladder_hamiltonian(d1, quantum)
+        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum)
+        levels.append((ladder_hamiltonian(dim_in, quantum), h1, h2, total_hamiltonian(h1, h2)))
     entries = [np.stack([h.entries for h in hs]) for hs in zip(*levels)]
     ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0] for _, h1, h2, _ in levels])
     state = _equal_superposition(dim_in) if cfg["clock"] == "equal_superposition" else None
+    shared = {"dim_in": dim_in, "dim_out1": d1, "dim_out2": d2}
+    shared.update(kraus_rank=cfg["kraus_rank"], clock=cfg["clock"])
 
     rows = []
     per_stack = max(1, _STACK_ROWS // len(scales))
     for start in range(0, cfg["samples"], per_stack):
         ks = range(start, min(cfg["samples"], start + per_stack))
         states, raws = _draws(seed, ks, dim_in, d1 * d2, cfg["kraus_rank"], state)
-        rho, p, v = _stacked(states)
-        # rows are stacked by the shape of their twirled operators, which the scale sets
-        by_shape = {}
+        by_shape = {}  # the scale sets the twirled operators' shape
         for s, (h_in, _, _, h_total) in enumerate(levels):
             ops = _twirled_ops(raws, h_in, h_total)
             by_shape.setdefault(ops.shape, []).append((s, ops))
@@ -422,33 +393,17 @@ def _copy_bound_sweep(cfg: dict, seed: int) -> list:
             si = np.repeat([s for s, _ in group], len(ks))
             ki = np.tile(np.arange(len(ks)), len(group))
             ops = group[0][1] if len(group) == 1 else np.concatenate([ops for _, ops in group])
-            h_in, h1, h2, h_total = (e[si] for e in entries)
-            f_in, f1, f2, e2, _, lhs, rhs, margin, satisfied, residual = (
-                column.tolist()
-                for column in _copy_bound_rows(
-                    rho[ki], p[ki], v[ki], h_in, ops, h1, h2, h_total, ground[si]
-                )
-            )
+            stack = tuple(x[ki] for x in states)
+            columns = _copy_bound_rows(stack, ops, *(e[si] for e in entries), ground[si])
+            report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
             samples = [ks[k] for k in ki.tolist()]
             group_rows = _rows(
                 len(samples),
+                **dict(report),
+                **shared,
                 sample_id=samples,
                 seed=[seed + k for k in samples],
-                dim_in=dim_in,
-                dim_out1=d1,
-                dim_out2=d2,
-                f_in=f_in,
-                f1=f1,
-                f2=f2,
-                e2=e2,
-                lhs=lhs,
-                rhs=rhs,
-                margin=margin,
-                satisfied=satisfied,
-                covariance_residual=residual,
-                kraus_rank=cfg["kraus_rank"],
                 energy_scale=[scales[s] for s in si.tolist()],
-                clock=cfg["clock"],
             )
             for row, s, k in zip(group_rows, si.tolist(), ki.tolist()):
                 chunk[k * len(scales) + s] = row
@@ -463,15 +418,9 @@ def _monotonicity_sweep(cfg: dict, seed: int) -> list:
     for start in range(0, cfg["samples"], _STACK_ROWS):
         ks = range(start, min(cfg["samples"], start + _STACK_ROWS))
         states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])
-        f_in, f_out, residual, holds, margin = (
-            column.tolist()
-            for column in _monotonicity_rows(
-                *_stacked(states),
-                np.broadcast_to(h_in.entries, (len(ks), dim, dim)),
-                _twirled_ops(raws, h_in, h_out),
-                np.broadcast_to(h_out.entries, (len(ks), dim_out, dim_out)),
-            )
-        )
+        hs = (np.broadcast_to(h.entries, (len(ks), h.dim, h.dim)) for h in (h_in, h_out))
+        columns = _monotonicity_rows(states, _twirled_ops(raws, h_in, h_out), *hs)
+        f_in, f_out, residual, holds, margin = (c.tolist() for c in columns)
         rows += _rows(
             len(ks),
             sample_id=list(ks),

@@ -102,12 +102,9 @@ and none of the following reads ``choi``:
   the same products as the matrix products, with no matmul.
 - Apply: :func:`apply_to_matrix` sums the stack of r products K_m X K_m†.
 
-These checks run on stacks of channels.  The private kernels
-:func:`_cptp_rows`, :func:`_covariance_rows` and :func:`_apply_rows` take
-either Kraus stacks (B, r, dout, din) or Choi matrices (B, n, n), with a
-leading row axis, and treat each row on its own.  :func:`validate_cptp`,
-:func:`is_covariant` and :func:`apply_to_matrix` call them with a stack of
-one row, and ``bounds.sweep`` with the twirled channels of many rows.
+These checks run on stacks of channels, Kraus stacks (B, r, dout, din) or
+Choi matrices (B, n, n), in :func:`_cptp_rows`, :func:`_covariance_rows` and
+:func:`_apply_rows`; the public checks pass a stack of one row.
 
 So a (16, 4, 4) copy-bound sweep row forms no Choi matrix.  A one-sample
 sweep there takes ~2.0 ms (~2.2 ms with the checks run row by row), and a
@@ -220,16 +217,12 @@ def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChann
 
 
 def _channel_ops(channel: QuantumChannel) -> np.ndarray:
-    """The channel as the private kernels take it: its Kraus stack, or its Choi matrix when it keeps none."""
+    """The channel as the kernels take it: its Kraus stack, else its Choi matrix."""
     return channel.choi if channel.kraus is None else channel.kraus
 
 
 def _apply_rows(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each channel of a stack applied to the matching matrix of x (B, din, din).
-
-    ``ops`` is a stack of Kraus stacks (B, r, dout, din) or of Choi matrices
-    (B, n, n), as from :func:`_channel_ops`.
-    """
+    """Each channel of a stack ``ops`` (see "Kraus form") applied to its matrix of x (B, din, din)."""
     if ops.ndim == 4:
         # stacked: one flat (r*dout, din) product crosses OpenBLAS's threading threshold
         return (ops @ x[:, None] @ ops.conj().swapaxes(-1, -2)).sum(1)
@@ -314,12 +307,7 @@ def _choi_blocks(choi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _cptp_rows(ops: np.ndarray, dim_in: int, dim_out: int) -> tuple:
-    """CP violations, TP violations and largest diagonalised blocks (B,) of a stack of channels.
-
-    ``ops`` is as for :func:`_apply_rows`.  A Kraus stack is CP by
-    construction and reports 0.0 and block 0; each Choi matrix is measured on
-    its decoupled blocks.
-    """
+    """CP violations, TP violations and largest diagonalised blocks (B,) of a stack of channels."""
     cp, largest = np.zeros(len(ops)), np.zeros(len(ops), dtype=int)
     if ops.ndim == 4:
         # sum_m K_m† K_m is the transpose of the Choi marginal below
@@ -401,8 +389,7 @@ def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarr
     ``r_m = D_m - w_m K_m`` with ``D_m = H_out K_m - K_m H_in`` and the real
     ``w_m = Re<K_m, D_m> / ||K_m||^2`` (0 for a zero operator); see "Kraus
     form" in the module docstring.  Leading axes of ``kraus`` (..., r, dout,
-    din) and of the Hamiltonian entries (..., d, d) broadcast, one bound per
-    operator stack.
+    din) and of the Hamiltonian entries broadcast.
     """
     flat_k = kraus.reshape(*kraus.shape[:-2], -1)
     e_in, e_out = _diagonal(h_in), _diagonal(h_out)
@@ -422,7 +409,7 @@ def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarr
 
 
 def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> float:
-    """Max-abs entry of [K, C] for a Choi matrix C and Hamiltonian entries; see :func:`is_covariant`."""
+    """Max-abs entry of [K, C] for a Choi matrix C; see :func:`is_covariant`."""
     kc = _kron_rows(None, h_out, choi)
     kc -= _kron_rows(h_in.T, None, choi)
     return float(_hermitian_deviation(kc)[0])
@@ -431,9 +418,8 @@ def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndar
 def _covariance_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
     """Covariance residual (B,) of each channel of a stack for Hamiltonian entries (B, d, d).
 
-    ``ops`` is as for :func:`_apply_rows`.  A Kraus stack is first offered
-    the certificate of :func:`_kraus_covariance_bound`; a row it rejects, and
-    every Choi row, is measured on its Choi matrix.
+    A Kraus row whose certificate exceeds ``COVARIANCE_TOL``, and every Choi
+    row, is measured on its Choi matrix.
     """
     if ops.ndim != 4:
         return np.array([_choi_covariance_residual(*row) for row in zip(ops, h_in, h_out)])
@@ -480,18 +466,15 @@ def _diagonal(h: np.ndarray) -> np.ndarray | None:
 
 
 def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
-    """Frequency class of each eigenbasis Choi index i*dout + a, whose frequency is e_out[a] - e_in[i]."""
+    """Frequency class of each eigenbasis Choi index i*dout + a: that of e_out[a] - e_in[i]."""
     nu = (e_out[None, :] - e_in[:, None]).reshape(-1)
     return _frequency_classes(nu, FREQ_TOL)
 
 
 def _twirl_kraus(kraus: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
-    """Twirled operators (B, classes * r, dout, din) of a stack of operator stacks (B, r, dout, din).
+    """Twirled operators (B, classes * r, dout, din) of operator stacks (B, r, dout, din).
 
-    Every operator is rotated into the eigenbases, masked once per frequency
-    class and rotated back (see "Kraus form" in the module docstring).  When
-    both Hamiltonians are diagonal the computational basis is an eigenbasis,
-    and the operators are masked there with no rotation.
+    See "Kraus form" in the module docstring.
     """
     e_in, e_out = _diagonal(h_in.entries), _diagonal(h_out.entries)
     rotate = e_in is None or e_out is None
@@ -509,12 +492,7 @@ def _twirl_kraus(kraus: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np
 
 
 def _twirled_ops(channels: list, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
-    """Operators of ``covariant_twirl(c, h_in, h_out)`` for channels drawn alike, as one stack.
-
-    The twirled channels' Kraus stacks (B, r, dout, din) when they keep them,
-    else their Choi matrices (B, n, n): the form :func:`_channel_ops` gives
-    each twirled channel.
-    """
+    """``_channel_ops(covariant_twirl(c, h_in, h_out))`` of channels drawn alike, as one stack."""
     if channels[0].kraus is None:
         return np.stack([covariant_twirl(c, h_in, h_out).choi for c in channels])
     kraus = _twirl_kraus(np.stack([c.kraus for c in channels]), h_in, h_out)

@@ -39,12 +39,11 @@ def _hermitian_deviation(mat: np.ndarray) -> tuple:
 
 
 def _hermitize_rows(mats: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrize (M + M†)/2 each matrix of a complex stack (B, d, d), rejecting any that is
-    not Hermitian to float noise.
+    """Symmetrize (M + M†)/2 each matrix of a complex stack (B, d, d), rejecting matrices that
+    are not Hermitian to float noise.
 
-    The deviation also rejects non-finite matrices; the first rejected matrix
-    of the stack names the error.  The result is written into the adjoint's
-    buffer.
+    The deviation also rejects non-finite matrices; the first rejected one
+    names the error.  The result is written into the adjoint's buffer.
     """
     dev, out = _hermitian_deviation(mats)
     if not dev.max() <= HERMITIAN_TOL:  # NaN fails too
@@ -64,12 +63,6 @@ def _hermitize_rows(mats: np.ndarray, what: str) -> np.ndarray:
 def _hermitize(entries, what: str) -> np.ndarray:
     """:func:`_hermitize_rows` of one square matrix, checked for shape and cast to complex."""
     return _hermitize_rows(_as_complex_square(entries, what)[None], what)[0]
-
-
-def _spectral_rows(mats: np.ndarray, what: str) -> tuple:
-    """Symmetrized stack (B, d, d) with its ``eigh`` eigenvalues (B, d) and eigenvectors (B, d, d)."""
-    sym = _hermitize_rows(mats, what)
-    return (sym, *np.linalg.eigh(sym))
 
 
 def _density_checks(entries: np.ndarray, eigenvalues: np.ndarray):
@@ -93,8 +86,9 @@ def _density_checks(entries: np.ndarray, eigenvalues: np.ndarray):
 
 
 def _density_rows(mats: np.ndarray) -> tuple:
-    """:func:`_spectral_rows` of a stack of states, each checked as a ``DensityMatrix`` is."""
-    sym, w, v = _spectral_rows(mats, "density matrix")
+    """A stack (B, d, d) of states checked as a ``DensityMatrix`` is, symmetrized, with its ``eigh``."""
+    sym = _hermitize_rows(mats, "density matrix")
+    w, v = np.linalg.eigh(sym)
     _density_checks(sym, w)
     return sym, w, v
 
@@ -121,8 +115,8 @@ class _Spectral:
     """
 
     def __init__(self, entries):
-        sym, w, v = _spectral_rows(_as_complex_square(entries, self._what)[None], self._what)
-        self._keep(sym[0], w[0], v[0])
+        entries = _hermitize(entries, self._what)
+        self._keep(entries, *np.linalg.eigh(entries))
 
     @classmethod
     def _from_decomposition(cls, entries, eigenvalues, eigenvectors):
@@ -205,11 +199,9 @@ def evolve(clock: ClockSystem, t: float) -> DensityMatrix:
 
 
 def _evolve_rows(clock: ClockSystem, times: np.ndarray) -> tuple:
-    """The clock state conjugated by exp(-iHt) at each of the times (T,), as one stack.
+    """The clock state evolved to each of the times (T,), checked as ``evolve`` checks it.
 
-    Returns the states (T, d, d), symmetrized and checked as a
-    ``DensityMatrix`` with the clock state's spectrum, and the propagators
-    (T, d, d).
+    Returns the symmetrized states and the propagators, as stacks (T, d, d).
     """
     finite = np.isfinite(times)
     if not finite.all():

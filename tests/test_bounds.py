@@ -567,7 +567,8 @@ def test_stacked_copy_bound_rows_are_their_single_checks_bit_for_bit(name):
     assert len(rows) == cfg["samples"] * len(cfg["energy_scales"])
     for row in rows:
         report = copy_bound_row_check(cfg, 21, row)
-        assert _hex(row[c] for c in FLOAT_COLUMNS) == _hex(getattr(report, c) for c in FLOAT_COLUMNS)
+        single = (getattr(report, c) for c in FLOAT_COLUMNS)
+        assert _hex(row[c] for c in FLOAT_COLUMNS) == _hex(single)
         assert row["satisfied"] is report.satisfied
 
 
@@ -626,14 +627,6 @@ def test_a_stack_gates_each_row_as_its_single_check():
 
     with pytest.raises(PreconditionError, match="not covariant") as single:
         monotonicity_check(clock, raw, h_out)
-    st = clock.state
     with pytest.raises(PreconditionError) as stacked:
-        bounds._monotonicity_rows(
-            np.stack([st.entries] * 2),
-            np.stack([st.eigenvalues] * 2),
-            np.stack([st.eigenvectors] * 2),
-            h_ins,
-            ops,
-            h_outs,
-        )
+        bounds._monotonicity_rows(bounds._stacked([clock.state] * 2), ops, h_ins, h_outs)
     assert str(stacked.value) == str(single.value)

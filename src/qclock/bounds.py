@@ -31,10 +31,11 @@ A sweep draws its samples in index order, each from ``default_rng(seed +
 k)``, and evaluates its rows in stacks: the twirl, the gate, the output
 states' checks, the Fisher informations, <E^2> and the margin run over a
 leading row axis, in one row kernel per experiment that the single checks
-run on one row.  A stack holds at most ``_STACK_ROWS`` rows whose twirled
-operator stacks share one shape (the class count changes with the energy
-scale).  Each row is treated on its own, so its bits do not depend on the
-stack it is in.
+run on one row.  A stack holds rows whose twirled operator stacks share
+one shape (the class count changes with the energy scale): at most
+``_STACK_ROWS``, or one sample's rows when there are more energy scales.
+Each row is treated on its own, so its bits do not depend on the stack it
+is in.
 """
 from __future__ import annotations
 

@@ -31,11 +31,11 @@ A sweep draws its samples in index order, each from ``default_rng(seed +
 k)``, and evaluates its rows in stacks: the twirl, the gate, the output
 states' checks, the Fisher informations, <E^2> and the margin run over a
 leading row axis, in one row kernel per experiment that the single checks
-run on one row.  A stack holds rows whose twirled operator stacks share
-one shape (the class count changes with the energy scale): at most
-``_STACK_ROWS``, or one sample's rows when there are more energy scales.
-Each row is treated on its own, so its bits do not depend on the stack it
-is in.
+run on one row.  A stack holds rows whose twirled operator stacks share one
+shape (the class count changes with the energy scale): at most
+``_STACK_ROWS`` rows, and at most ``_STACK_BYTES`` of twirled operators,
+and no more rows' operators are held at once.  Each row is treated on its
+own, so its bits do not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -69,8 +69,10 @@ from .states import (
 )
 
 MARGIN_TOL = 1e-8
-# rows evaluated as one stack at most, so that a sweep's memory does not grow with its samples
+# the most rows, and the most bytes of twirled operators, that a sweep holds as one stack: a
+# stack saves per-call overhead on small rows, while rows of ~1 MB run fastest one at a time
 _STACK_ROWS = 16
+_STACK_BYTES = 2**20
 
 
 def _reciprocal(values: np.ndarray) -> np.ndarray:
@@ -347,23 +349,30 @@ def _rows(n: int, **columns) -> list:
 
 
 def _draws(seed: int, ks: range, dim: int, dim_out: int, kraus_rank: int, state=None) -> tuple:
-    """Stacked clock states and the raw channels of samples ks, each from ``default_rng(seed + k)``.
+    """Clock states and raw channels of samples ks, each from ``default_rng(seed + k)``.
 
     The state is drawn before the channel; a given ``state`` serves every
-    sample and draws nothing.
+    sample and draws nothing.  The channels come as one stack, as
+    ``channels._apply_rows`` takes them.
     """
     states, raws = [], []
     for k in ks:
         rng = np.random.default_rng(seed + k)
         states.append(random_density(dim, 1 + k % dim, rng) if state is None else state)
-        raws.append(random_channel(dim, dim_out, kraus_rank, rng))
-    return _stacked(states), raws
+        raws.append(_channel_ops(random_channel(dim, dim_out, kraus_rank, rng)))
+    return states, np.stack(raws)
 
 
 def _stacked(states: list) -> tuple:
     """Entries, eigenvalues and eigenvectors of a list of states, each as one stack."""
     names = ("entries", "eigenvalues", "eigenvectors")
     return tuple(np.stack([getattr(st, name) for st in states]) for name in names)
+
+
+def _rows_per_stack(row_entries: int) -> int:
+    """Rows a stack holds when a row's twirled operators have ``row_entries`` complex entries:
+    at most ``_STACK_ROWS``, and at most ``_STACK_BYTES`` of operators."""
+    return max(1, min(_STACK_ROWS, _STACK_BYTES // (16 * row_entries)))
 
 
 def _copy_bound_sweep(cfg: dict, seed: int) -> list:
@@ -374,40 +383,46 @@ def _copy_bound_sweep(cfg: dict, seed: int) -> list:
         h1 = ladder_hamiltonian(d1, quantum)
         h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum)
         levels.append((ladder_hamiltonian(dim_in, quantum), h1, h2, total_hamiltonian(h1, h2)))
-    entries = [np.stack([h.entries for h in hs]) for hs in zip(*levels)]
-    ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0] for _, h1, h2, _ in levels])
+    grounds = [h1.eigenvalues[0] + h2.eigenvalues[0] for _, h1, h2, _ in levels]
     state = _equal_superposition(dim_in) if cfg["clock"] == "equal_superposition" else None
     shared = {"dim_in": dim_in, "dim_out1": d1, "dim_out2": d2}
     shared.update(kraus_rank=cfg["kraus_rank"], clock=cfg["clock"])
 
     rows = []
-    per_stack = max(1, _STACK_ROWS // len(scales))
+    n_scales = len(scales)
+    # the ladder frequencies E_out - E_in take at most dim_in + d1 + d2 - 2 values, and each
+    # class masks every raw operator
+    cap = _rows_per_stack((dim_in + d1 + d2 - 2) * cfg["kraus_rank"] * dim_in * d1 * d2)
+    per_stack = max(1, cap // n_scales)
     for start in range(0, cfg["samples"], per_stack):
         ks = range(start, min(cfg["samples"], start + per_stack))
         states, raws = _draws(seed, ks, dim_in, d1 * d2, cfg["kraus_rank"], state)
-        by_shape = {}  # the scale sets the twirled operators' shape
-        for s, (h_in, _, _, h_total) in enumerate(levels):
-            ops = _twirled_ops(raws, h_in, h_total)
-            by_shape.setdefault(ops.shape, []).append((s, ops))
-        chunk = [None] * (len(ks) * len(scales))
-        for group in by_shape.values():
-            si = np.repeat([s for s, _ in group], len(ks))
-            ki = np.tile(np.arange(len(ks)), len(group))
-            ops = group[0][1] if len(group) == 1 else np.concatenate([ops for _, ops in group])
-            stack = tuple(x[ki] for x in states)
-            columns = _copy_bound_rows(stack, ops, *(e[si] for e in entries), ground[si])
-            report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
-            samples = [ks[k] for k in ki.tolist()]
-            group_rows = _rows(
-                len(samples),
-                **dict(report),
-                **shared,
-                sample_id=samples,
-                seed=[seed + k for k in samples],
-                energy_scale=[scales[s] for s in si.tolist()],
-            )
-            for row, s, k in zip(group_rows, si.tolist(), ki.tolist()):
-                chunk[k * len(scales) + s] = row
+        chunk = [None] * (len(ks) * n_scales)
+        per_batch = max(1, cap // len(ks))  # scales whose rows are held at once
+        for first in range(0, n_scales, per_batch):
+            by_shape = {}  # the scale sets the twirled operators' shape
+            for s in range(first, min(n_scales, first + per_batch)):
+                h_in, _, _, h_total = levels[s]
+                ops = _twirled_ops(raws, h_in, h_total)
+                by_shape.setdefault(ops.shape, []).append((s, ops))
+            for group in by_shape.values():
+                order = [(s, k) for s, _ in group for k in range(len(ks))]  # the rows of ops
+                ops = group[0][1] if len(group) == 1 else np.concatenate([ops for _, ops in group])
+                hs = (np.stack([levels[s][j].entries for s, _ in order]) for j in range(4))
+                ground = np.array([grounds[s] for s, _ in order])
+                columns = _copy_bound_rows(_stacked([states[k] for _, k in order]), ops, *hs, ground)
+                report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
+                samples = [ks[k] for _, k in order]
+                group_rows = _rows(
+                    len(order),
+                    **dict(report),
+                    **shared,
+                    sample_id=samples,
+                    seed=[seed + k for k in samples],
+                    energy_scale=[scales[s] for s, _ in order],
+                )
+                for row, (s, k) in zip(group_rows, order):
+                    chunk[k * n_scales + s] = row
         rows += chunk
     return rows
 
@@ -416,11 +431,12 @@ def _monotonicity_sweep(cfg: dict, seed: int) -> list:
     dim, dim_out = cfg["dim"], cfg["dim_out"]
     h_in, h_out = ladder_hamiltonian(dim, 1.0), ladder_hamiltonian(dim_out, 1.0)
     rows = []
-    for start in range(0, cfg["samples"], _STACK_ROWS):
-        ks = range(start, min(cfg["samples"], start + _STACK_ROWS))
+    cap = _rows_per_stack((dim + dim_out - 1) * cfg["kraus_rank"] * dim * dim_out)  # as above
+    for start in range(0, cfg["samples"], cap):
+        ks = range(start, min(cfg["samples"], start + cap))
         states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])
         hs = (np.broadcast_to(h.entries, (len(ks), h.dim, h.dim)) for h in (h_in, h_out))
-        columns = _monotonicity_rows(states, _twirled_ops(raws, h_in, h_out), *hs)
+        columns = _monotonicity_rows(_stacked(states), _twirled_ops(raws, h_in, h_out), *hs)
         f_in, f_out, residual, holds, margin = (c.tolist() for c in columns)
         rows += _rows(
             len(ks),

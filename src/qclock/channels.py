@@ -57,11 +57,8 @@ is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
 C = V^T conj(V) this is the Choi matrix of the operators P_c K_m.  So a
 channel that carries a factor is twirled in that form: every K_m is rotated
 into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
-back, and the result carries the classes * r masked operators.  When both
-Hamiltonians are diagonal, as ladders and their sums are, the computational
-basis is an eigenbasis, and the operators are masked there with no
-rotation; the kept entries are the same numbers.  No n x n matrix is formed,
-and the raw channel's ``choi`` is never read.  A channel
+back, and the result carries the classes * r masked operators.  No n x n
+matrix is formed, and the raw channel's ``choi`` is never read.  A channel
 given only as a Choi matrix takes the Choi-matrix twirl.  Such are a channel
 read from a JSON file, :func:`identity_channel`, the output of the
 Choi-matrix twirl, and a channel of more than din*dout operators.  For ladder
@@ -97,19 +94,19 @@ and none of the following reads ``choi``:
   (16, 4, 4) ladder row).  Otherwise ``choi`` is formed and the commutator
   measured as for any channel, so the verdict is the Choi check's either
   way.  A covariant channel given by operators that mix frequencies (a
-  unitary mix of twirled operators) is accepted by that fallback.  For
-  diagonal Hamiltonians D_m is formed as a row and a column scaling of K_m:
-  the same products as the matrix products, with no matmul.
+  unitary mix of twirled operators) is accepted by that fallback.
 - Apply: :func:`apply_to_matrix` sums the stack of r products K_m X K_m†.
 
-These checks run on stacks of channels, Kraus stacks (B, r, dout, din) or
-Choi matrices (B, n, n), in :func:`_cptp_rows`, :func:`_covariance_rows` and
-:func:`_apply_rows`; the public checks pass a stack of one row.
+These checks, and the twirl, run on stacks of channels, Kraus stacks
+(B, r, dout, din) or Choi matrices (B, n, n), in :func:`_cptp_rows`,
+:func:`_covariance_rows`, :func:`_apply_rows` and :func:`_twirled_ops`; the
+public functions pass a stack of one row.
 
 So a (16, 4, 4) copy-bound sweep row forms no Choi matrix.  A one-sample
-sweep there takes ~2.0 ms (~2.2 ms with the checks run row by row), and a
-ten-sample sweep ~1.5 ms per row (~2.1 ms); a row of a three-sample
-(32, 6, 6) sweep takes ~11 ms (~14 ms) (same box, seed 1).
+sweep there takes as long as with the checks run row by row (~3.65 ms
+either way), a row of a ten-sample sweep ~2.3 ms (~3.3 ms row by row), and
+a row of a three-sample (32, 6, 6) sweep ~15 ms (~21 ms) (2-vCPU box under
+load, NumPy 2.4 with OpenBLAS; medians of 12 alternating rounds).
 
 Block spectrum
 --------------
@@ -204,16 +201,30 @@ def _kraus_choi(kraus: np.ndarray) -> np.ndarray:
     return _hermitize(vecs.T @ vecs.conj(), "choi matrix")
 
 
-def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChannel:
-    """Channel of a finite (r, dim_out, dim_in) operator stack; shapes are the caller's to check."""
+def _kept_form(kraus: np.ndarray) -> np.ndarray:
+    """Operator stacks (B, r, dout, din) in the form a channel keeps them.
+
+    That is the stacks themselves, or their Choi matrices (B, n, n) when
+    r > din*dout: such a factor is no smaller than the Choi matrix.
+    """
+    if kraus.shape[1] > kraus.shape[2] * kraus.shape[3]:
+        return np.stack([_kraus_choi(k) for k in kraus])
+    return kraus
+
+
+def _ops_channel(dim_in: int, dim_out: int, ops: np.ndarray) -> QuantumChannel:
+    """The channel whose :func:`_channel_ops` are ``ops``, a finite operator stack or a symmetrized
+    Choi matrix; shapes are the caller's to check."""
     channel = QuantumChannel.__new__(QuantumChannel)
     channel.dim_in, channel.dim_out = int(dim_in), int(dim_out)
-    if len(kraus) > dim_in * dim_out:  # no smaller than the Choi matrix, so not kept
-        channel.kraus, channel._choi = None, _kraus_choi(kraus)
-    else:
-        kraus.setflags(write=False)
-        channel.kraus, channel._choi = kraus, None
+    ops.setflags(write=False)
+    channel.kraus, channel._choi = (ops, None) if ops.ndim == 3 else (None, ops)
     return channel
+
+
+def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChannel:
+    """Channel of a finite (r, dim_out, dim_in) operator stack; shapes are the caller's to check."""
+    return _ops_channel(dim_in, dim_out, _kept_form(kraus[None])[0])
 
 
 def _channel_ops(channel: QuantumChannel) -> np.ndarray:
@@ -224,7 +235,8 @@ def _channel_ops(channel: QuantumChannel) -> np.ndarray:
 def _apply_rows(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each channel of a stack ``ops`` (see "Kraus form") applied to its matrix of x (B, din, din)."""
     if ops.ndim == 4:
-        # stacked: one flat (r*dout, din) product crosses OpenBLAS's threading threshold
+        # one product per operator: a flat (r*dout, din) one would cross OpenBLAS's threading
+        # threshold
         return (ops @ x[:, None] @ ops.conj().swapaxes(-1, -2)).sum(1)
     dim_in = x.shape[-1]
     dim_out = ops.shape[-1] // dim_in
@@ -392,12 +404,7 @@ def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarr
     din) and of the Hamiltonian entries broadcast.
     """
     flat_k = kraus.reshape(*kraus.shape[:-2], -1)
-    e_in, e_out = _diagonal(h_in), _diagonal(h_out)
-    if e_in is None or e_out is None:
-        flat_d = h_out[..., None, :, :] @ kraus - kraus @ h_in[..., None, :, :]
-    else:  # the products of H_out K and K H_in, as row and column scalings
-        flat_d = e_out[..., None, :, None] * kraus - kraus * e_in[..., None, None, :]
-    flat_d = flat_d.reshape(flat_k.shape)
+    flat_d = (h_out[..., None, :, :] @ kraus - kraus @ h_in[..., None, :, :]).reshape(flat_k.shape)
     # Re<a, b> is the real dot product of the interleaved real and imaginary parts
     real_k = flat_k.view(float)
     weight = np.einsum("...i,...i->...", real_k, real_k)
@@ -412,7 +419,7 @@ def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndar
     """Max-abs entry of [K, C] for a Choi matrix C; see :func:`is_covariant`."""
     kc = _kron_rows(None, h_out, choi)
     kc -= _kron_rows(h_in.T, None, choi)
-    return float(_hermitian_deviation(kc)[0])
+    return _hermitian_deviation(kc)[0]
 
 
 def _covariance_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
@@ -459,12 +466,6 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
     return classes
 
 
-def _diagonal(h: np.ndarray) -> np.ndarray | None:
-    """Real diagonals (..., d) of Hamiltonian entries (..., d, d) when every matrix is diagonal."""
-    diagonal = np.diagonal(h, axis1=-2, axis2=-1)
-    return diagonal.real if np.count_nonzero(h) == np.count_nonzero(diagonal) else None
-
-
 def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
     """Frequency class of each eigenbasis Choi index i*dout + a: that of e_out[a] - e_in[i]."""
     nu = (e_out[None, :] - e_in[:, None]).reshape(-1)
@@ -476,29 +477,31 @@ def _twirl_kraus(kraus: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np
 
     See "Kraus form" in the module docstring.
     """
-    e_in, e_out = _diagonal(h_in.entries), _diagonal(h_out.entries)
-    rotate = e_in is None or e_out is None
-    if rotate:
-        e_in, e_out = h_in.eigenvalues, h_out.eigenvalues
-        u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-        kraus = u_out.conj().T @ kraus @ u_in
+    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
     # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
-    labels = _twirl_classes(e_in, e_out).reshape(h_in.dim, h_out.dim).T
+    labels = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues).reshape(h_in.dim, h_out.dim).T
     masks = labels == np.arange(labels.max() + 1)[:, None, None]
-    masked = np.where(masks[:, None], kraus[:, None], 0)
-    if rotate:
-        masked = u_out @ masked @ u_in.conj().T
-    return masked.reshape(len(kraus), -1, h_out.dim, h_in.dim)
+    masked = np.where(masks[:, None], (u_out.conj().T @ kraus @ u_in)[:, None], 0)
+    return (u_out @ masked @ u_in.conj().T).reshape(len(kraus), -1, h_out.dim, h_in.dim)
 
 
-def _twirled_ops(channels: list, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
-    """``_channel_ops(covariant_twirl(c, h_in, h_out))`` of channels drawn alike, as one stack."""
-    if channels[0].kraus is None:
-        return np.stack([covariant_twirl(c, h_in, h_out).choi for c in channels])
-    kraus = _twirl_kraus(np.stack([c.kraus for c in channels]), h_in, h_out)
-    if kraus.shape[1] > h_in.dim * h_out.dim:  # as in _kraus_channel
-        return np.stack([_kraus_choi(k) for k in kraus])
-    return kraus
+def _twirled_ops(ops: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
+    """The covariant twirl of each channel of a stack ``ops``, as :func:`_apply_rows` takes it.
+
+    Kraus stacks are twirled in Kraus form and Choi matrices in Choi form; see
+    :func:`covariant_twirl`.
+    """
+    if ops.ndim == 4:
+        return _kept_form(_twirl_kraus(ops, h_in, h_out))
+    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
+    classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
+    mask = classes[:, None] == classes[None, :]
+    twirls = []
+    for choi in ops:
+        # W = conj(U_in) (x) U_out; c_eig = W† C W and the twirl is W (c_eig * mask) W†
+        c_eig = _kron_sandwich(u_in.T, u_out.conj().T, choi)
+        twirls.append(_hermitize(_kron_sandwich(u_in.conj(), u_out, c_eig * mask), "choi matrix"))
+    return np.stack(twirls)
 
 
 def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian) -> QuantumChannel:
@@ -513,16 +516,8 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     docstring).
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    if channel.kraus is not None:
-        kraus = _twirl_kraus(channel.kraus[None], h_in, h_out)[0]
-        return _kraus_channel(channel.dim_in, channel.dim_out, kraus)
-    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-    classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
-    # W = conj(U_in) (x) U_out; c_eig = W† C W and the result is W (c_eig * mask) W†
-    c_eig = _kron_sandwich(u_in.T, u_out.conj().T, channel.choi)
-    mask = classes[:, None] == classes[None, :]
-    twirled = _kron_sandwich(u_in.conj(), u_out, c_eig * mask)
-    return QuantumChannel(channel.dim_in, channel.dim_out, twirled)
+    twirled = _twirled_ops(_channel_ops(channel)[None], h_in, h_out)[0]
+    return _ops_channel(channel.dim_in, channel.dim_out, twirled)
 
 
 def identity_channel(dim: int) -> QuantumChannel:

@@ -293,7 +293,7 @@ def conserved_block_traces(clock: ClockSystem, times) -> BlockTraceReport:
     v = clock.hamiltonian.eigenvectors
     labels = _gap_labels(w, DISTINGUISH_TOL)
     groups = np.split(np.arange(w.size), np.cumsum(np.bincount(labels))[:-1])
-    rho_t = _evolve_rows(clock, times)[0]  # every evolved state at once
+    rho_t = _evolve_rows(clock, times)  # every evolved state at once
     block_traces = np.stack(
         [np.trace(v[:, g].conj().T @ rho_t @ v[:, g], axis1=-2, axis2=-1).real for g in groups],
         axis=1,

@@ -26,28 +26,31 @@ def _as_complex_square(entries, what: str) -> np.ndarray:
     return mat
 
 
-def _hermitian_deviation(mat: np.ndarray) -> tuple:
-    """Max-abs entry of M - M† for each matrix of a stack (..., d, d), and M† laid out like M.
+def _hermitian_deviation(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max-abs entry of M - M† over one matrix or a stack (..., d, d), and M† laid out like M.
 
     The adjoint is copied into M's layout, so the subtraction reads both
     operands in order.  A NaN or infinite entry makes the deviation NaN or
-    infinite.  A single matrix gives a scalar deviation.
+    infinite.
     """
     adjoint = np.conjugate(mat.swapaxes(-1, -2), out=np.empty_like(mat))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        return np.abs(mat - adjoint).max(axis=(-2, -1)), adjoint
+        return float(np.abs(mat - adjoint).max()), adjoint
 
 
 def _hermitize_rows(mats: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrize (M + M†)/2 each matrix of a complex stack (B, d, d), rejecting matrices that
-    are not Hermitian to float noise.
+    """Symmetrize (M + M†)/2 one complex matrix or each of a stack (..., d, d), rejecting
+    matrices that are not Hermitian to float noise.
 
     The deviation also rejects non-finite matrices; the first rejected one
     names the error.  The result is written into the adjoint's buffer.
     """
     dev, out = _hermitian_deviation(mats)
-    if not dev.max() <= HERMITIAN_TOL:  # NaN fails too
-        dev = float(dev[~(dev <= HERMITIAN_TOL)][0])
+    if not dev <= HERMITIAN_TOL:  # NaN fails too
+        for mat in mats.reshape(-1, *mats.shape[-2:]):
+            dev = _hermitian_deviation(mat)[0]
+            if not dev <= HERMITIAN_TOL:
+                break
         reason = (
             f"is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
             if np.isfinite(dev)
@@ -62,16 +65,17 @@ def _hermitize_rows(mats: np.ndarray, what: str) -> np.ndarray:
 
 def _hermitize(entries, what: str) -> np.ndarray:
     """:func:`_hermitize_rows` of one square matrix, checked for shape and cast to complex."""
-    return _hermitize_rows(_as_complex_square(entries, what)[None], what)[0]
+    return _hermitize_rows(_as_complex_square(entries, what), what)
 
 
 def _density_checks(entries: np.ndarray, eigenvalues: np.ndarray):
-    """PSD and trace checks of a stack of symmetrized states and their ascending eigenvalues.
+    """PSD and trace checks of one symmetrized state or a stack (..., d, d), with ascending
+    eigenvalues (..., d).
 
     The first state of the stack that fails raises, with the PSD check first.
     """
-    lows = eigenvalues[:, 0].tolist()
-    traces = entries.trace(axis1=-2, axis2=-1).real.tolist()
+    lows = eigenvalues[..., :1].ravel().tolist()
+    traces = entries.trace(axis1=-2, axis2=-1).real.ravel().tolist()
     for low, tr in zip(lows, traces):
         if low < -PSD_TOL:
             raise ValidationError(
@@ -146,7 +150,7 @@ class DensityMatrix(_Spectral):
 
     def _keep(self, entries, eigenvalues, eigenvectors):
         super()._keep(entries, eigenvalues, eigenvectors)
-        _density_checks(entries[None], eigenvalues[None])
+        _density_checks(entries, eigenvalues)
 
     def purity(self) -> float:
         """tr(rho^2); equals 1 for pure states."""
@@ -160,13 +164,14 @@ class Hamiltonian(_Spectral):
 
     def propagator(self, t: float) -> np.ndarray:
         """Unitary exp(-iHt) from the kept decomposition."""
-        return _propagators(self, np.array([t]))[0]
+        return _propagators(self, t)
 
 
-def _propagators(h: Hamiltonian, times: np.ndarray) -> np.ndarray:
-    """exp(-iHt) at each of the times (T,), as a stack (T, d, d), from the kept decomposition."""
-    phases = np.exp(-1j * h.eigenvalues * times[:, None])
-    return (h.eigenvectors * phases[:, None, :]) @ h.eigenvectors.conj().T
+def _propagators(h: Hamiltonian, times) -> np.ndarray:
+    """exp(-iHt) at a time, or at each of the times (T,) as a stack (T, d, d), from the kept
+    decomposition."""
+    phases = np.exp(-1j * h.eigenvalues * np.asarray(times)[..., None])
+    return (h.eigenvectors * phases[..., None, :]) @ h.eigenvectors.conj().T
 
 
 class ClockSystem:
@@ -193,15 +198,18 @@ class EnergyMoments(NamedTuple):
 
 def evolve(clock: ClockSystem, t: float) -> DensityMatrix:
     """Conjugate the clock state by exp(-iHt); the spectrum is kept and the eigenvectors rotated."""
-    entries, u = _evolve_rows(clock, np.array([t]))
-    rho = clock.state
-    return DensityMatrix._from_decomposition(entries[0], rho.eigenvalues, u[0] @ rho.eigenvectors)
+    if not np.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    u, rho = clock.hamiltonian.propagator(t), clock.state
+    return DensityMatrix._from_decomposition(
+        u @ rho.entries @ u.conj().T, rho.eigenvalues, u @ rho.eigenvectors
+    )
 
 
-def _evolve_rows(clock: ClockSystem, times: np.ndarray) -> tuple:
-    """The clock state evolved to each of the times (T,), checked as ``evolve`` checks it.
+def _evolve_rows(clock: ClockSystem, times: np.ndarray) -> np.ndarray:
+    """:func:`evolve` of the clock at each of the times (T,): the symmetrized states (T, d, d).
 
-    Returns the symmetrized states and the propagators, as stacks (T, d, d).
+    Each state is checked as ``evolve`` checks it, and no eigenvectors are formed.
     """
     finite = np.isfinite(times)
     if not finite.all():
@@ -209,7 +217,7 @@ def _evolve_rows(clock: ClockSystem, times: np.ndarray) -> tuple:
     u, rho = _propagators(clock.hamiltonian, times), clock.state
     entries = _hermitize_rows(u @ rho.entries @ u.conj().swapaxes(-1, -2), "density matrix")
     _density_checks(entries, np.broadcast_to(rho.eigenvalues, (len(times), rho.dim)))
-    return entries, u
+    return entries
 
 
 def energy_moments(clock: ClockSystem) -> EnergyMoments:

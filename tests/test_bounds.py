@@ -630,3 +630,40 @@ def test_a_stack_gates_each_row_as_its_single_check():
     with pytest.raises(PreconditionError) as stacked:
         bounds._monotonicity_rows(bounds._stacked([clock.state] * 2), ops, h_ins, h_outs)
     assert str(stacked.value) == str(single.value)
+
+
+def test_no_stack_exceeds_the_cap_whatever_the_number_of_scales(monkeypatch):
+    from qclock import bounds
+
+    cfg = dict(COPY_CFG, samples=3, energy_scales=[1e-10, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-10])
+    rows = sweep(cfg, seed=24).rows
+    stacks = []
+    copy_bound_rows = bounds._copy_bound_rows
+
+    def recording(states, ops, *rest):
+        stacks.append(len(ops))
+        return copy_bound_rows(states, ops, *rest)
+
+    monkeypatch.setattr(bounds, "_copy_bound_rows", recording)
+    monkeypatch.setattr(bounds, "_STACK_ROWS", 4)  # fewer rows than one sample has scales
+    assert sweep(cfg, seed=24).rows == rows
+    assert max(stacks) <= 4
+    assert sum(stacks) == len(rows)
+
+
+def test_rows_too_large_for_a_stack_run_one_at_a_time(monkeypatch):
+    from qclock import bounds
+
+    cfg = dict(COPY_CFG, samples=3, energy_scales=[1e-10, 1.0])
+    rows = sweep(cfg, seed=25).rows
+    stacks = []
+    copy_bound_rows = bounds._copy_bound_rows
+
+    def recording(states, ops, *rest):
+        stacks.append(len(ops))
+        return copy_bound_rows(states, ops, *rest)
+
+    monkeypatch.setattr(bounds, "_copy_bound_rows", recording)
+    monkeypatch.setattr(bounds, "_STACK_BYTES", 1)  # below one row's operators
+    assert sweep(cfg, seed=25).rows == rows
+    assert stacks == [1] * len(rows)

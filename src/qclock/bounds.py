@@ -431,7 +431,8 @@ def _monotonicity_sweep(cfg: dict, seed: int) -> list:
     dim, dim_out = cfg["dim"], cfg["dim_out"]
     h_in, h_out = ladder_hamiltonian(dim, 1.0), ladder_hamiltonian(dim_out, 1.0)
     rows = []
-    cap = _rows_per_stack((dim + dim_out - 1) * cfg["kraus_rank"] * dim * dim_out)  # as above
+    # the ladder frequencies E_out - E_in take at most dim + dim_out - 1 values
+    cap = _rows_per_stack((dim + dim_out - 1) * cfg["kraus_rank"] * dim * dim_out)
     for start in range(0, cfg["samples"], cap):
         ks = range(start, min(cfg["samples"], start + cap))
         states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])

@@ -222,11 +222,6 @@ def _ops_channel(dim_in: int, dim_out: int, ops: np.ndarray) -> QuantumChannel:
     return channel
 
 
-def _kraus_channel(dim_in: int, dim_out: int, kraus: np.ndarray) -> QuantumChannel:
-    """Channel of a finite (r, dim_out, dim_in) operator stack; shapes are the caller's to check."""
-    return _ops_channel(dim_in, dim_out, _kept_form(kraus[None])[0])
-
-
 def _channel_ops(channel: QuantumChannel) -> np.ndarray:
     """The channel as the kernels take it: its Kraus stack, else its Choi matrix."""
     return channel.choi if channel.kraus is None else channel.kraus
@@ -543,7 +538,7 @@ def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
     stack = np.array(ops, dtype=complex).reshape(len(ops), dim_out, dim_in)
     if not np.isfinite(stack).all():
         raise ValidationError("kraus operators have non-finite entries")
-    return _kraus_channel(dim_in, dim_out, stack)
+    return _ops_channel(dim_in, dim_out, _kept_form(stack[None])[0])
 
 
 def kraus_operators(channel: QuantumChannel) -> list[np.ndarray]:

@@ -31,11 +31,12 @@ A sweep draws its samples in index order, each from ``default_rng(seed +
 k)``, and evaluates its rows in stacks: the twirl, the gate, the output
 states' checks, the Fisher informations, <E^2> and the margin run over a
 leading row axis, in one row kernel per experiment that the single checks
-run on one row.  A stack holds rows whose twirled operator stacks share one
-shape (the class count changes with the energy scale): at most
-``_STACK_ROWS`` rows, and at most ``_STACK_BYTES`` of twirled operators,
-and no more rows' operators are held at once.  Each row is treated on its
-own, so its bits do not depend on the stack it is in.
+run on one row.  A ladder twirl is the same at every energy scale, so each
+stack of samples is twirled once and its operators serve the rows of every
+scale, sample by sample.  A stack holds at most ``_STACK_ROWS`` rows, and at
+most ``_STACK_BYTES`` of twirled operators, and no more rows' operators are
+held at once.  Each row is treated on its own, so its bits do not depend on
+the stack it is in.
 """
 from __future__ import annotations
 
@@ -394,36 +395,31 @@ def _copy_bound_sweep(cfg: dict, seed: int) -> list:
     # class masks every raw operator
     cap = _rows_per_stack((dim_in + d1 + d2 - 2) * cfg["kraus_rank"] * dim_in * d1 * d2)
     per_stack = max(1, cap // n_scales)
+    # a ladder twirl has the same frequency classes, so the same operators, at every scale
+    h_in, _, _, h_total = levels[0]
     for start in range(0, cfg["samples"], per_stack):
         ks = range(start, min(cfg["samples"], start + per_stack))
         states, raws = _draws(seed, ks, dim_in, d1 * d2, cfg["kraus_rank"], state)
-        chunk = [None] * (len(ks) * n_scales)
+        twirled = _twirled_ops(raws, h_in, h_total)
         per_batch = max(1, cap // len(ks))  # scales whose rows are held at once
         for first in range(0, n_scales, per_batch):
-            by_shape = {}  # the scale sets the twirled operators' shape
-            for s in range(first, min(n_scales, first + per_batch)):
-                h_in, _, _, h_total = levels[s]
-                ops = _twirled_ops(raws, h_in, h_total)
-                by_shape.setdefault(ops.shape, []).append((s, ops))
-            for group in by_shape.values():
-                order = [(s, k) for s, _ in group for k in range(len(ks))]  # the rows of ops
-                ops = group[0][1] if len(group) == 1 else np.concatenate([ops for _, ops in group])
-                hs = (np.stack([levels[s][j].entries for s, _ in order]) for j in range(4))
-                ground = np.array([grounds[s] for s, _ in order])
-                columns = _copy_bound_rows(_stacked([states[k] for _, k in order]), ops, *hs, ground)
-                report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
-                samples = [ks[k] for _, k in order]
-                group_rows = _rows(
-                    len(order),
-                    **dict(report),
-                    **shared,
-                    sample_id=samples,
-                    seed=[seed + k for k in samples],
-                    energy_scale=[scales[s] for s, _ in order],
-                )
-                for row, (s, k) in zip(group_rows, order):
-                    chunk[k * n_scales + s] = row
-        rows += chunk
+            batch = range(first, min(n_scales, first + per_batch))
+            # sample-major rows: a stack of several samples holds all their scales in one batch
+            ops = twirled if len(batch) == 1 else np.repeat(twirled, len(batch), axis=0)
+            hs = (np.stack([levels[s][j].entries for s in batch] * len(ks)) for j in range(4))
+            ground = np.array([grounds[s] for s in batch] * len(ks))
+            row_states = _stacked([st for st in states for _ in batch])
+            columns = _copy_bound_rows(row_states, ops, *hs, ground)
+            report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
+            samples = [k for k in ks for _ in batch]
+            rows += _rows(
+                len(samples),
+                **dict(report),
+                **shared,
+                sample_id=samples,
+                seed=[seed + k for k in samples],
+                energy_scale=[scales[s] for s in batch] * len(ks),
+            )
     return rows
 
 

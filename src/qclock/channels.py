@@ -47,10 +47,8 @@ A channel built by :func:`channel_from_kraus` (and so by
 ``kraus``, a read-only stack of shape (r, dout, din) with ``kraus[m] = K_m``.
 It forms ``choi`` on first read and caches it: with V the (r, dout*din)
 matrix whose row m is the Choi vector ``K_m.T.reshape(-1)``,
-``choi = V^T conj(V)``, symmetrized like any other Choi matrix.  A factor
-with more than din*dout operators is no smaller than the Choi matrix, so
-such a channel forms ``choi`` at once and keeps no factor.  Every other
-channel has ``kraus = None``.
+``choi = V^T conj(V)``, symmetrized like any other Choi matrix, however
+many operators there are.  Every other channel has ``kraus = None``.
 
 The twirl zeroes the eigenbasis Choi entries of mismatched frequency, which
 is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
@@ -60,19 +58,12 @@ into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
 back, and the result carries the classes * r masked operators.  No n x n
 matrix is formed, and the raw channel's ``choi`` is never read.  A channel
 given only as a Choi matrix takes the Choi-matrix twirl.  Such are a channel
-read from a JSON file, :func:`identity_channel`, the output of the
-Choi-matrix twirl, and a channel of more than din*dout operators.  For ladder
-spectra the eigenvectors are permutations and both twirls sum the same
-products, so they agree bit for bit, except that a one-operator factor can
-differ in the last bit: OpenBLAS rounds the one-term Gram product of its raw
-Choi matrix differently.
-
-The cost of forming the twirled ``choi`` grows with the number of classes.
-Drawing a rank-2 ``random_channel``, twirling it and forming ``choi`` takes
-~5.5 ms in Kraus form against ~17.5 ms through the Choi matrix on a
-(16, 4, 4) ladder row, which has 22 classes.  Generic 16 -> 16 spectra have
-256 classes, so the twirl makes 512 operators, and there it is slower:
-~21 ms against ~16 ms (2-vCPU box, NumPy 2.4 with OpenBLAS).
+read from a JSON file or built by the :class:`QuantumChannel` constructor,
+:func:`identity_channel`, and the output of the Choi-matrix twirl.  For
+ladder spectra the eigenvectors are permutations and both twirls sum the
+same products, so they agree bit for bit, except that a one-operator factor
+can differ in the last bit: OpenBLAS rounds the one-term Gram product of its
+raw Choi matrix differently.
 
 A channel that carries a factor is also checked and applied in that form,
 and none of the following reads ``choi``:
@@ -102,11 +93,8 @@ These checks, and the twirl, run on stacks of channels, Kraus stacks
 :func:`_covariance_rows`, :func:`_apply_rows` and :func:`_twirled_ops`; the
 public functions pass a stack of one row.
 
-So a (16, 4, 4) copy-bound sweep row forms no Choi matrix.  A one-sample
-sweep there takes as long as with the checks run row by row (~3.65 ms
-either way), a row of a ten-sample sweep ~2.3 ms (~3.3 ms row by row), and
-a row of a three-sample (32, 6, 6) sweep ~15 ms (~21 ms) (2-vCPU box under
-load, NumPy 2.4 with OpenBLAS; medians of 12 alternating rounds).
+So a sweep row, whose raw channel is drawn as operators, forms no Choi
+matrix.
 
 Block spectrum
 --------------
@@ -128,9 +116,10 @@ Tolerances
 ----------
 Three constants decide every verdict: ``CPTP_TOL`` bounds the CP and TP
 violations and is also the Kraus eigenvalue cutoff, ``COVARIANCE_TOL`` bounds
-the covariance residual, and ``FREQ_TOL`` is the largest gap inside one
-Bohr-frequency class of the twirl.  No function takes a tolerance, so a
-channel gets the same verdict from every caller; the reports carry the raw
+the covariance residual, and ``FREQ_TOL``, times the largest |eigenvalue| of
+the two Hamiltonians, is the largest gap inside one Bohr-frequency class of
+the twirl.  No function takes a tolerance, so a channel gets the same
+verdict from every caller; the reports carry the raw
 violations and residual for anyone who needs another threshold.  For a
 channel that carries Kraus operators the CP violation is 0.0 by
 construction, not a measurement, and an accepted covariance residual is an
@@ -153,6 +142,7 @@ from .states import (
 
 CPTP_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
+# relative to the largest |eigenvalue| of the twirl's Hamiltonians: its classes are scale-free
 FREQ_TOL = 1e-9
 
 
@@ -199,17 +189,6 @@ def _kraus_choi(kraus: np.ndarray) -> np.ndarray:
     # row m is the Choi vector of K_m; the Choi matrix is V^T conj(V) = sum_m v_m v_m†
     vecs = kraus.transpose(0, 2, 1).reshape(len(kraus), kraus.shape[1] * kraus.shape[2])
     return _hermitize(vecs.T @ vecs.conj(), "choi matrix")
-
-
-def _kept_form(kraus: np.ndarray) -> np.ndarray:
-    """Operator stacks (B, r, dout, din) in the form a channel keeps them.
-
-    That is the stacks themselves, or their Choi matrices (B, n, n) when
-    r > din*dout: such a factor is no smaller than the Choi matrix.
-    """
-    if kraus.shape[1] > kraus.shape[2] * kraus.shape[3]:
-        return np.stack([_kraus_choi(k) for k in kraus])
-    return kraus
 
 
 def _ops_channel(dim_in: int, dim_out: int, ops: np.ndarray) -> QuantumChannel:
@@ -462,34 +441,30 @@ def _frequency_classes(nu: np.ndarray, freq_tol: float) -> np.ndarray:
 
 
 def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
-    """Frequency class of each eigenbasis Choi index i*dout + a: that of e_out[a] - e_in[i]."""
-    nu = (e_out[None, :] - e_in[:, None]).reshape(-1)
-    return _frequency_classes(nu, FREQ_TOL)
+    """Frequency class of each eigenbasis Choi index i*dout + a: that of e_out[a] - e_in[i].
 
-
-def _twirl_kraus(kraus: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
-    """Twirled operators (B, classes * r, dout, din) of operator stacks (B, r, dout, din).
-
-    See "Kraus form" in the module docstring.
+    Gaps are judged against ``FREQ_TOL`` times the largest |eigenvalue|, the
+    scale of the rounding in e_out[a] - e_in[i].
     """
-    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-    # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
-    labels = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues).reshape(h_in.dim, h_out.dim).T
-    masks = labels == np.arange(labels.max() + 1)[:, None, None]
-    masked = np.where(masks[:, None], (u_out.conj().T @ kraus @ u_in)[:, None], 0)
-    return (u_out @ masked @ u_in.conj().T).reshape(len(kraus), -1, h_out.dim, h_in.dim)
+    nu = (e_out[None, :] - e_in[:, None]).reshape(-1)
+    return _frequency_classes(nu, FREQ_TOL * max(np.abs(e_in).max(), np.abs(e_out).max()))
 
 
 def _twirled_ops(ops: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
     """The covariant twirl of each channel of a stack ``ops``, as :func:`_apply_rows` takes it.
 
-    Kraus stacks are twirled in Kraus form and Choi matrices in Choi form; see
-    :func:`covariant_twirl`.
+    Kraus stacks (B, r, dout, din) give twirled stacks (B, classes * r, dout,
+    din) and Choi matrices give Choi matrices; see "Kraus form" in the module
+    docstring and :func:`covariant_twirl`.
     """
-    if ops.ndim == 4:
-        return _kept_form(_twirl_kraus(ops, h_in, h_out))
     u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
     classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
+    if ops.ndim == 4:
+        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
+        labels = classes.reshape(h_in.dim, h_out.dim).T
+        masks = labels == np.arange(labels.max() + 1)[:, None, None]
+        masked = np.where(masks[:, None], (u_out.conj().T @ ops @ u_in)[:, None], 0)
+        return (u_out @ masked @ u_in.conj().T).reshape(len(ops), -1, h_out.dim, h_in.dim)
     mask = classes[:, None] == classes[None, :]
     twirls = []
     for choi in ops:
@@ -503,8 +478,11 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     """Project the channel onto the covariant ones for (h_in, h_out).
 
     In the product basis of the Hamiltonian eigenvectors every Choi entry
-    carries a frequency mismatch (E_out_a - E_out_b) - (E_in_i - E_in_j);
-    entries whose mismatch exceeds ``FREQ_TOL`` are zeroed.  The input factor
+    pairs the Bohr frequencies E_out_a - E_in_i and E_out_b - E_in_j; entries
+    whose frequencies fall in different classes are zeroed.  Classes split at
+    gaps above ``FREQ_TOL`` times the largest |eigenvalue| of the two
+    Hamiltonians, the scale of the rounding in each frequency, so for ladder
+    spectra the twirl is the same at every energy scale.  The input factor
     uses the conjugated eigenbasis because the channel acts on the input index
     through a transpose.  A channel that carries Kraus operators is twirled in
     that form and the result carries them too (see "Kraus form" in the module
@@ -538,7 +516,7 @@ def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
     stack = np.array(ops, dtype=complex).reshape(len(ops), dim_out, dim_in)
     if not np.isfinite(stack).all():
         raise ValidationError("kraus operators have non-finite entries")
-    return _ops_channel(dim_in, dim_out, _kept_form(stack[None])[0])
+    return _ops_channel(dim_in, dim_out, stack)
 
 
 def kraus_operators(channel: QuantumChannel) -> list[np.ndarray]:

@@ -544,17 +544,17 @@ def copy_bound_row_check(cfg, seed, row):
 
 
 STACKED_COPY_CFGS = {
-    # 1e-10 merges every frequency class: 2 twirled operators there, 12 at the other scales
+    # the frequency classes are scale-free: 12 twirled operators at every scale, 1e-10 too
     "random-4-2-2": dict(
         COPY_CFG, samples=5, dim_in=4, clock="random", energy_scales=[1e-10, 0.5, 1.0, 3.0]
     ),
     "equal-3-2-2": dict(COPY_CFG, samples=4, energy_scales=[1e-10, 1.0, 2.0]),
-    # 6 twirled operators on a 2 -> 2 channel: that row keeps only its Choi matrix
-    "choi-rows-2-2-1": dict(
+    # 6 twirled operators on a 2 -> 2 channel, more than its 4 Choi entries, all kept
+    "long-twirl-2-2-1": dict(
         COPY_CFG, samples=3, dim_in=2, dim_out2=1, clock="random", energy_scales=[1e-10, 1.0]
     ),
-    # more operators than Choi entries: the raw channels are Choi matrices
-    "choi-raw-2-2-1": dict(
+    # more raw operators than Choi entries, all kept
+    "rank-5-2-2-1": dict(
         COPY_CFG, samples=3, dim_in=2, dim_out2=1, kraus_rank=5, energy_scales=[0.5, 1.0]
     ),
 }
@@ -575,7 +575,7 @@ def test_stacked_copy_bound_rows_are_their_single_checks_bit_for_bit(name):
 @pytest.mark.parametrize(
     "cfg",
     [dict(MONO_CFG, dim=4), dict(MONO_CFG, samples=4, dim=2, kraus_rank=5)],
-    ids=["kraus", "choi-raw"],
+    ids=["kraus", "kraus-rank-5"],
 )
 def test_stacked_monotonicity_rows_are_their_single_checks_bit_for_bit(cfg):
     h_in, h_out = ladder_hamiltonian(cfg["dim"], 1.0), ladder_hamiltonian(cfg["dim_out"], 1.0)
@@ -588,6 +588,16 @@ def test_stacked_monotonicity_rows_are_their_single_checks_bit_for_bit(cfg):
         assert _hex(row[c] for c in ("f_in", "f1", "lhs", "rhs", "margin")) == _hex(single)
         assert _hex([row["covariance_residual"]]) == _hex([report.covariance_residual])
         assert row["satisfied"] is report.holds
+
+
+def test_a_ladder_twirl_is_the_same_at_every_energy_scale():
+    _, raw = _sample_draw(COPY_CFG, 26, 0, 4, 4, "equal_superposition")
+    twirls = []
+    for scale in (1e-10, 0.37, 1.0, 3.0, 1e6):
+        h_out = total_hamiltonian(ladder_hamiltonian(2, scale), ladder_hamiltonian(2, scale))
+        twirls.append(covariant_twirl(raw, ladder_hamiltonian(4, scale), h_out).kraus)
+    assert twirls[0].shape == (12, 4, 4)  # 6 frequency classes of 2 raw operators
+    assert all(ops.tobytes() == twirls[0].tobytes() for ops in twirls[1:])
 
 
 @pytest.mark.parametrize(

@@ -32,11 +32,13 @@ k)``, and evaluates its rows in stacks: the twirl, the gate, the output
 states' checks, the Fisher informations, <E^2> and the margin run over a
 leading row axis, in one row kernel per experiment that the single checks
 run on one row.  A ladder twirl is the same at every energy scale, so each
-stack of samples is twirled once and its operators serve the rows of every
-scale, sample by sample.  A stack holds at most ``_STACK_ROWS`` rows, and at
-most ``_STACK_BYTES`` of twirled operators, and no more rows' operators are
-held at once.  Each row is treated on its own, so its bits do not depend on
-the stack it is in.
+stack of samples is twirled once and its class form (see ``channels``)
+serves the rows of every scale, sample by sample.  The gate and the output
+states are computed on the class form, so no masked operator and no Choi
+matrix is formed.  A stack holds at most ``_STACK_ROWS`` rows, and its
+kernels gather at most ``_STACK_BYTES`` of operator entries, so no more
+rows' work is held at once.  Each row is treated on its own, so its bits do
+not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -70,8 +72,9 @@ from .states import (
 )
 
 MARGIN_TOL = 1e-8
-# the most rows, and the most bytes of twirled operators, that a sweep holds as one stack: a
-# stack saves per-call overhead on small rows, while rows of ~1 MB run fastest one at a time
+# the most rows, and the most bytes of gathered operator entries, that a sweep holds as one
+# stack: a stack saves per-call overhead on small rows, while rows of ~1 MB run fastest one at
+# a time
 _STACK_ROWS = 16
 _STACK_BYTES = 2**20
 
@@ -202,7 +205,7 @@ def copy_bound_check(
     _check_process_dims(clock, broadcast, h_total)
     hs = (h.entries[None] for h in (clock.hamiltonian, h1, h2, h_total))
     ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0]])
-    columns = _copy_bound_rows(_stacked([clock.state]), _channel_ops(broadcast)[None], *hs, ground)
+    columns = _copy_bound_rows(_stacked([clock.state]), _channel_ops(broadcast), *hs, ground)
     return CopyBoundReport(*(column[0].item() for column in columns))
 
 
@@ -273,7 +276,7 @@ def monotonicity_check(
     """
     _check_process_dims(clock, channel, h_out)
     hs = (clock.hamiltonian.entries[None], h_out.entries[None])
-    columns = _monotonicity_rows(_stacked([clock.state]), _channel_ops(channel)[None], *hs)
+    columns = _monotonicity_rows(_stacked([clock.state]), _channel_ops(channel), *hs)
     return MonotonicityReport(*(column[0].item() for column in columns[:4]))
 
 
@@ -360,7 +363,7 @@ def _draws(seed: int, ks: range, dim: int, dim_out: int, kraus_rank: int, state=
     for k in ks:
         rng = np.random.default_rng(seed + k)
         states.append(random_density(dim, 1 + k % dim, rng) if state is None else state)
-        raws.append(_channel_ops(random_channel(dim, dim_out, kraus_rank, rng)))
+        raws.append(random_channel(dim, dim_out, kraus_rank, rng).kraus)
     return states, np.stack(raws)
 
 
@@ -371,8 +374,14 @@ def _stacked(states: list) -> tuple:
 
 
 def _rows_per_stack(row_entries: int) -> int:
-    """Rows a stack holds when a row's twirled operators have ``row_entries`` complex entries:
-    at most ``_STACK_ROWS``, and at most ``_STACK_BYTES`` of operators."""
+    """Rows a stack holds when the kernels gather ``row_entries`` complex entries per row: at
+    most ``_STACK_ROWS``, and at most ``_STACK_BYTES`` of them.
+
+    The sweeps pass ``rank * dim_in * dim_out**2``: a row gathers ``rank`` entries for each
+    within-class pair of its class form (see ``channels``), and a ladder class holds at most
+    one entry per output level, so each of the ``dim_in * dim_out`` entries has at most
+    ``dim_out`` partners.
+    """
     return max(1, min(_STACK_ROWS, _STACK_BYTES // (16 * row_entries)))
 
 
@@ -391,9 +400,7 @@ def _copy_bound_sweep(cfg: dict, seed: int) -> list:
 
     rows = []
     n_scales = len(scales)
-    # the ladder frequencies E_out - E_in take at most dim_in + d1 + d2 - 2 values, and each
-    # class masks every raw operator
-    cap = _rows_per_stack((dim_in + d1 + d2 - 2) * cfg["kraus_rank"] * dim_in * d1 * d2)
+    cap = _rows_per_stack(cfg["kraus_rank"] * dim_in * (d1 * d2) ** 2)
     per_stack = max(1, cap // n_scales)
     # a ladder twirl has the same frequency classes, so the same operators, at every scale
     h_in, _, _, h_total = levels[0]
@@ -405,7 +412,7 @@ def _copy_bound_sweep(cfg: dict, seed: int) -> list:
         for first in range(0, n_scales, per_batch):
             batch = range(first, min(n_scales, first + per_batch))
             # sample-major rows: a stack of several samples holds all their scales in one batch
-            ops = twirled if len(batch) == 1 else np.repeat(twirled, len(batch), axis=0)
+            ops = twirled if len(batch) == 1 else twirled.repeat(len(batch))
             hs = (np.stack([levels[s][j].entries for s in batch] * len(ks)) for j in range(4))
             ground = np.array([grounds[s] for s in batch] * len(ks))
             row_states = _stacked([st for st in states for _ in batch])
@@ -427,8 +434,7 @@ def _monotonicity_sweep(cfg: dict, seed: int) -> list:
     dim, dim_out = cfg["dim"], cfg["dim_out"]
     h_in, h_out = ladder_hamiltonian(dim, 1.0), ladder_hamiltonian(dim_out, 1.0)
     rows = []
-    # the ladder frequencies E_out - E_in take at most dim + dim_out - 1 values
-    cap = _rows_per_stack((dim + dim_out - 1) * cfg["kraus_rank"] * dim * dim_out)
+    cap = _rows_per_stack(cfg["kraus_rank"] * dim * dim_out**2)
     for start in range(0, cfg["samples"], cap):
         ks = range(start, min(cfg["samples"], start + cap))
         states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])

@@ -43,30 +43,17 @@ applies factor by factor without building the (din*dout)^2 Kronecker matrix.
 Kraus form
 ----------
 A channel built by :func:`channel_from_kraus` (and so by
-:func:`random_channel`, and by the twirl of either) keeps its operators as
-``kraus``, a read-only stack of shape (r, dout, din) with ``kraus[m] = K_m``.
-It forms ``choi`` on first read and caches it: with V the (r, dout*din)
-matrix whose row m is the Choi vector ``K_m.T.reshape(-1)``,
-``choi = V^T conj(V)``, symmetrized like any other Choi matrix, however
-many operators there are.  Every other channel has ``kraus = None``.
+:func:`random_channel`) keeps its operators as ``kraus``, a read-only stack
+of shape (r, dout, din) with ``kraus[m] = K_m``.  It forms ``choi`` on first
+read and caches it: with V the (r, dout*din) matrix whose row m is the Choi
+vector ``K_m.T.reshape(-1)``, ``choi = V^T conj(V)``, symmetrized like any
+other Choi matrix, however many operators there are.  A channel given only
+as a Choi matrix has ``kraus = None``: one read from a JSON file or built by
+the :class:`QuantumChannel` constructor, :func:`identity_channel`, and the
+output of the Choi-matrix twirl.
 
-The twirl zeroes the eigenbasis Choi entries of mismatched frequency, which
-is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
-C = V^T conj(V) this is the Choi matrix of the operators P_c K_m.  So a
-channel that carries a factor is twirled in that form: every K_m is rotated
-into the eigenbases (U_out† K_m U_in), masked once per class, and rotated
-back, and the result carries the classes * r masked operators.  No n x n
-matrix is formed, and the raw channel's ``choi`` is never read.  A channel
-given only as a Choi matrix takes the Choi-matrix twirl.  Such are a channel
-read from a JSON file or built by the :class:`QuantumChannel` constructor,
-:func:`identity_channel`, and the output of the Choi-matrix twirl.  For
-ladder spectra the eigenvectors are permutations and both twirls sum the
-same products, so they agree bit for bit, except that a one-operator factor
-can differ in the last bit: OpenBLAS rounds the one-term Gram product of its
-raw Choi matrix differently.
-
-A channel that carries a factor is also checked and applied in that form,
-and none of the following reads ``choi``:
+A channel that carries operators is checked and applied on them, and none of
+the following reads ``choi``:
 
 - CP: X -> sum_m K_m X K_m† is completely positive by construction, so
   :func:`validate_cptp` does not measure it.  It reports a CP violation of
@@ -74,27 +61,69 @@ and none of the following reads ``choi``:
 - TP: sum_m K_m† K_m, summed over the stack of r products, is the
   transpose of the Choi marginal, so the TP violation is the Choi one up to
   rounding.
-- Covariance: the Choi vector of D_m = H_out K_m - K_m H_in is K v_m, so
-  [K, C] = sum_m (d_m v_m† - v_m d_m†).  Subtracting a real multiple w_m v_m
-  from d_m leaves the sum unchanged, so with r_m = D_m - w_m K_m every
-  entry of [K, C] is at most 2 sum_m max|r_m| max|K_m| in modulus.
-  :func:`is_covariant` takes w_m = Re<K_m, D_m> / ||K_m||^2, for which r_m is
-  rounding noise when K_m has one Bohr frequency, as every twirled operator
-  has.  When this bound is within ``COVARIANCE_TOL`` it is the reported
-  residual, an upper bound on the Choi residual (~7e-15 against ~2e-16 on a
-  (16, 4, 4) ladder row).  Otherwise ``choi`` is formed and the commutator
-  measured as for any channel, so the verdict is the Choi check's either
-  way.  A covariant channel given by operators that mix frequencies (a
-  unitary mix of twirled operators) is accepted by that fallback.
+- Covariance: the certificate of "Class form" below, with all entries in
+  one class and the standard basis as the eigenbases (U = 1).
 - Apply: :func:`apply_to_matrix` sums the stack of r products K_m X K_m†.
 
-These checks, and the twirl, run on stacks of channels, Kraus stacks
+Class form
+----------
+The twirl zeroes the eigenbasis Choi entries of mismatched frequency, which
+is the pinching C -> sum_c P_c C P_c over frequency classes c.  With
+C = V^T conj(V) this is the Choi matrix of the masked operators P_c∘K~_m,
+where K~_m = U_out† K_m U_in is K_m in the eigenbases and P_c keeps the
+entries (a, i) whose frequency e_out[a] - e_in[i] is in class c.  So the
+twirl of a channel that carries operators keeps its *class form*: the
+rotated operators K~_m, the class label of every entry (a, i), and the two
+eigenbases.  It forms no masked operator and no n x n matrix, and it never
+reads the raw channel's ``choi``.  The twirled channel builds ``kraus`` on
+first read, the classes * r operators P_c∘K~_m rotated back (U_out . U_in†),
+and ``choi`` from those, so both keep the bits of a mask-and-rotate twirl.
+For ladder spectra the eigenvectors are permutations, and that ``choi``
+equals the Choi-matrix twirl bit for bit, except that a one-operator factor
+can differ in the last bit: OpenBLAS rounds the one-term Gram product of its
+raw Choi matrix differently.
+
+In the eigenbases the twirled Choi matrix is block diagonal over the
+classes, and its entries are G_p = sum_m K~_m[a, i] conj(K~_m[b, j]) on the
+within-class pairs p = ((a, i), (b, j)): 3,640 pairs at (16, 4, 4), where
+the masked operators would hold 11,264 entries, 95% of them zero.  The class
+structure (the pairs, and the entries listed class by class) is built once
+per twirl, and the checks run on it:
+
+- CP: 0.0 by construction, as for any channel that carries operators.
+- TP: the pairs with a = b, summed onto (i, j) and rotated back by U_in,
+  give sum_m K_m† K_m.
+- Apply: out = U_out X~ U_out†, with X~[a, b] the sum of G_p x~[i, j] over
+  the pairs onto (a, b) and x~ = U_in† x U_in.
+- Covariance: a certificate on the Frobenius norm, which a unitary change
+  of basis keeps and which bounds every entry.  Rotate the Hamiltonian
+  entries into the eigenbases, H~ = U† H U, and take e = Re diag H~ and
+  delta = ||H~_in - diag e_in||_F + ||H~_out - diag e_out||_F +
+  eps (||H_in||_F + ||H_out||_F), eps the float spacing at 1.  In that
+  basis the commutator's K is diag(nu) plus a rest of norm at most delta,
+  with nu = e_out[a] - e_in[i], and the Choi vector of P_c∘K~_m has norm
+  N = ||P_c∘K~_m||_F.  Subtracting the real multiple w of it, w the
+  |K~|^2-weighted mean of nu over the class, leaves the commutator
+  unchanged, so with R = ||(nu - w)∘P_c∘K~_m||_F every entry of [K, C] is
+  at most 2 sum (R + delta N) N, summed over classes and operators.  R is
+  rounding noise, as each class has one frequency, and delta is rounding
+  noise too when the kept eigenvectors are eigenvectors of the entries; a
+  wrong decomposition inflates R or delta.  The eps term covers the
+  rounding of the Choi residual as it is measured, so the bound is at
+  least that residual (~4e-13 against ~2e-16 on a (16, 4, 4) ladder row).
+  When the bound is within ``COVARIANCE_TOL`` it is the reported residual.
+  Otherwise the operators are formed and the commutator measured on
+  ``choi`` as for any channel, so the verdict is the Choi check's either
+  way.  A covariant channel given by operators that mix frequencies (a
+  unitary mix of twirled operators) is accepted by that fallback.
+
+The class form, its kernels and the certificate live in
+:mod:`qclock.classform`.  These checks, and the twirl, run on stacks of
+channels, class forms (B rows of r operators), Kraus stacks
 (B, r, dout, din) or Choi matrices (B, n, n), in :func:`_cptp_rows`,
 :func:`_covariance_rows`, :func:`_apply_rows` and :func:`_twirled_ops`; the
-public functions pass a stack of one row.
-
-So a sweep row, whose raw channel is drawn as operators, forms no Choi
-matrix.
+public functions pass a stack of one row.  So a sweep row, whose raw channel
+is drawn as operators, forms no Choi matrix and no masked operator.
 
 Block spectrum
 --------------
@@ -123,7 +152,7 @@ verdict from every caller; the reports carry the raw
 violations and residual for anyone who needs another threshold.  For a
 channel that carries Kraus operators the CP violation is 0.0 by
 construction, not a measurement, and an accepted covariance residual is an
-upper bound on the Choi residual (see "Kraus form").
+upper bound on the Choi residual (see "Class form").
 """
 from __future__ import annotations
 
@@ -131,6 +160,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classform import _ClassForm, _kraus_covariance_bound
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .states import (
     DensityMatrix,
@@ -158,7 +188,9 @@ class QuantumChannel:
     trace preservation are measured by :func:`validate_cptp` so that slightly
     defective matrices can still be diagnosed.  A channel built from Kraus
     operators also carries them as ``kraus`` and forms ``choi`` on first read
-    (see "Kraus form" in the module docstring); otherwise ``kraus`` is None.
+    (see "Kraus form" in the module docstring); a twirled one keeps its class
+    form and forms ``kraus`` on first read too (see "Class form").  Otherwise
+    ``kraus`` is None.
     """
 
     def __init__(self, dim_in: int, dim_out: int, choi):
@@ -171,8 +203,15 @@ class QuantumChannel:
             )
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
-        self.kraus = None
+        self._classes = self._kraus = None
         self._choi = _hermitize(mat, "choi matrix")
+
+    @property
+    def kraus(self) -> np.ndarray | None:
+        if self._kraus is None and self._classes is not None:
+            self._kraus = self._classes.kraus()[0]
+            self._kraus.setflags(write=False)
+        return self._kraus
 
     @property
     def choi(self) -> np.ndarray:
@@ -191,23 +230,34 @@ def _kraus_choi(kraus: np.ndarray) -> np.ndarray:
     return _hermitize(vecs.T @ vecs.conj(), "choi matrix")
 
 
-def _ops_channel(dim_in: int, dim_out: int, ops: np.ndarray) -> QuantumChannel:
-    """The channel whose :func:`_channel_ops` are ``ops``, a finite operator stack or a symmetrized
-    Choi matrix; shapes are the caller's to check."""
+def _ops_channel(dim_in: int, dim_out: int, ops) -> QuantumChannel:
+    """The channel whose :func:`_channel_ops` are ``ops``, a stack of one row: a class form, a
+    finite operator stack or a symmetrized Choi matrix; shapes are the caller's to check."""
     channel = QuantumChannel.__new__(QuantumChannel)
     channel.dim_in, channel.dim_out = int(dim_in), int(dim_out)
+    channel._classes = channel._kraus = channel._choi = None
+    if isinstance(ops, _ClassForm):
+        channel._classes, ops = ops, ops.ops
+    elif ops.ndim == 4:
+        channel._kraus = ops = ops[0]
+    else:
+        channel._choi = ops = ops[0]
     ops.setflags(write=False)
-    channel.kraus, channel._choi = (ops, None) if ops.ndim == 3 else (None, ops)
     return channel
 
 
-def _channel_ops(channel: QuantumChannel) -> np.ndarray:
-    """The channel as the kernels take it: its Kraus stack, else its Choi matrix."""
-    return channel.choi if channel.kraus is None else channel.kraus
+def _channel_ops(channel: QuantumChannel):
+    """The channel as a stack of one row, as the kernels take it: its class form, else its
+    Kraus stack, else its Choi matrix."""
+    if channel._classes is not None:
+        return channel._classes
+    return (channel.choi if channel.kraus is None else channel.kraus)[None]
 
 
-def _apply_rows(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each channel of a stack ``ops`` (see "Kraus form") applied to its matrix of x (B, din, din)."""
+def _apply_rows(ops, x: np.ndarray) -> np.ndarray:
+    """Each channel of a stack ``ops`` (see "Class form") applied to its matrix x (B, din, din)."""
+    if isinstance(ops, _ClassForm):
+        return ops.apply(x)
     if ops.ndim == 4:
         # one product per operator: a flat (r*dout, din) one would cross OpenBLAS's threading
         # threshold
@@ -225,7 +275,7 @@ def apply_to_matrix(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix shape {x.shape} does not match channel input dim {channel.dim_in}"
         )
-    return _apply_rows(_channel_ops(channel)[None], x[None])[0]
+    return _apply_rows(_channel_ops(channel), x[None])[0]
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -292,10 +342,12 @@ def _choi_blocks(choi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return stacks
 
 
-def _cptp_rows(ops: np.ndarray, dim_in: int, dim_out: int) -> tuple:
+def _cptp_rows(ops, dim_in: int, dim_out: int) -> tuple:
     """CP violations, TP violations and largest diagonalised blocks (B,) of a stack of channels."""
     cp, largest = np.zeros(len(ops)), np.zeros(len(ops), dtype=int)
-    if ops.ndim == 4:
+    if isinstance(ops, _ClassForm):
+        marginal = ops.trace_marginal()
+    elif ops.ndim == 4:
         # sum_m K_m† K_m is the transpose of the Choi marginal below
         marginal = (ops.conj().swapaxes(-1, -2) @ ops).sum(1)
     else:
@@ -316,7 +368,7 @@ def validate_cptp(channel: QuantumChannel) -> CptpReport:
     them alone (see "Kraus form" in the module docstring).  ``ok`` holds when
     both violations stay within ``CPTP_TOL``.
     """
-    cp, tp, largest = _cptp_rows(_channel_ops(channel)[None], channel.dim_in, channel.dim_out)
+    cp, tp, largest = _cptp_rows(_channel_ops(channel), channel.dim_in, channel.dim_out)
     cp_violation, tp_violation = float(cp[0]), float(tp[0])
     return CptpReport(
         cp_violation,
@@ -331,9 +383,9 @@ class CovarianceReport:
     """Covariance residual of a channel and its verdict against ``COVARIANCE_TOL``.
 
     ``residual`` is the max-abs entry of the Choi commutator [K, C], except
-    when a channel that carries Kraus operators is accepted by the Kraus
+    when a channel that carries Kraus operators is accepted by the
     certificate: then it is the certificate's bound, an upper bound on that
-    entry (see "Kraus form" in the module docstring).
+    entry (see "Class form" in the module docstring).
     """
 
     residual: float
@@ -369,26 +421,6 @@ def _check_hamiltonian_dims(channel: QuantumChannel, h_in: Hamiltonian, h_out: H
         )
 
 
-def _kraus_covariance_bound(kraus: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
-    """Upper bound 2 sum_m max|r_m| max|K_m| on the max-abs entry of [K, C], C = sum_m v_m v_m†.
-
-    ``r_m = D_m - w_m K_m`` with ``D_m = H_out K_m - K_m H_in`` and the real
-    ``w_m = Re<K_m, D_m> / ||K_m||^2`` (0 for a zero operator); see "Kraus
-    form" in the module docstring.  Leading axes of ``kraus`` (..., r, dout,
-    din) and of the Hamiltonian entries broadcast.
-    """
-    flat_k = kraus.reshape(*kraus.shape[:-2], -1)
-    flat_d = (h_out[..., None, :, :] @ kraus - kraus @ h_in[..., None, :, :]).reshape(flat_k.shape)
-    # Re<a, b> is the real dot product of the interleaved real and imaginary parts
-    real_k = flat_k.view(float)
-    weight = np.einsum("...i,...i->...", real_k, real_k)
-    overlap = np.einsum("...i,...i->...", real_k, flat_d.view(float))
-    omega = np.divide(overlap, weight, out=np.zeros_like(weight), where=weight > 0)
-    residual = np.abs(flat_d - omega[..., None] * flat_k).max(axis=-1, initial=0.0)
-    scale = np.abs(flat_k).max(axis=-1, initial=0.0)
-    return ((2.0 * residual)[..., None, :] @ scale[..., :, None])[..., 0, 0]
-
-
 def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> float:
     """Max-abs entry of [K, C] for a Choi matrix C; see :func:`is_covariant`."""
     kc = _kron_rows(None, h_out, choi)
@@ -396,17 +428,23 @@ def _choi_covariance_residual(choi: np.ndarray, h_in: np.ndarray, h_out: np.ndar
     return _hermitian_deviation(kc)[0]
 
 
-def _covariance_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
+def _covariance_rows(ops, h_in: np.ndarray, h_out: np.ndarray) -> np.ndarray:
     """Covariance residual (B,) of each channel of a stack for Hamiltonian entries (B, d, d).
 
-    A Kraus row whose certificate exceeds ``COVARIANCE_TOL``, and every Choi
-    row, is measured on its Choi matrix.
+    A Kraus or class-form row whose certificate exceeds ``COVARIANCE_TOL``,
+    and every Choi row, is measured on its Choi matrix.
     """
-    if ops.ndim != 4:
+    if isinstance(ops, _ClassForm):
+        residual = ops.covariance_bound(h_in, h_out)
+    elif ops.ndim == 4:
+        residual = _kraus_covariance_bound(ops, h_in, h_out)
+    else:
         return np.array([_choi_covariance_residual(*row) for row in zip(ops, h_in, h_out)])
-    residual = _kraus_covariance_bound(ops, h_in, h_out)
-    for b in np.flatnonzero(~(residual <= COVARIANCE_TOL)):
-        residual[b] = _choi_covariance_residual(_kraus_choi(ops[b]), h_in[b], h_out[b])
+    failed = np.flatnonzero(~(residual <= COVARIANCE_TOL))
+    if len(failed):
+        dense = ops.kraus() if isinstance(ops, _ClassForm) else ops
+        for b in failed:
+            residual[b] = _choi_covariance_residual(_kraus_choi(dense[b]), h_in[b], h_out[b])
     return residual
 
 
@@ -417,13 +455,14 @@ def is_covariant(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltonian)
     largest max-abs entry of G(i[H_in, E_ij]) - i[H_out, G(E_ij)] over all
     matrix units E_ij; the channel is reported covariant when it stays within
     ``COVARIANCE_TOL``.  With K and C Hermitian, C K = (K C)†, so one product suffices.
-    A channel that carries Kraus operators is first offered the certificate
-    of :func:`_kraus_covariance_bound`; when that accepts, its bound is the
-    reported residual and no Choi matrix is formed.
+    A channel that carries Kraus operators, or a class form, is first offered
+    the certificate of :func:`qclock.classform._kraus_covariance_bound`; when
+    that accepts, its bound is the reported residual and no Choi matrix is
+    formed.
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    ops = _channel_ops(channel)[None]
-    residual = float(_covariance_rows(ops, h_in.entries[None], h_out.entries[None])[0])
+    hs = (h_in.entries[None], h_out.entries[None])
+    residual = float(_covariance_rows(_channel_ops(channel), *hs)[0])
     return CovarianceReport(residual=residual, is_covariant=residual <= COVARIANCE_TOL)
 
 
@@ -450,21 +489,21 @@ def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
     return _frequency_classes(nu, FREQ_TOL * max(np.abs(e_in).max(), np.abs(e_out).max()))
 
 
-def _twirled_ops(ops: np.ndarray, h_in: Hamiltonian, h_out: Hamiltonian) -> np.ndarray:
+def _twirled_ops(ops, h_in: Hamiltonian, h_out: Hamiltonian):
     """The covariant twirl of each channel of a stack ``ops``, as :func:`_apply_rows` takes it.
 
-    Kraus stacks (B, r, dout, din) give twirled stacks (B, classes * r, dout,
-    din) and Choi matrices give Choi matrices; see "Kraus form" in the module
-    docstring and :func:`covariant_twirl`.
+    Kraus stacks (B, r, dout, din), and class forms through their operators,
+    give a class form, and Choi matrices give Choi matrices; see "Class form"
+    in the module docstring and :func:`covariant_twirl`.
     """
     u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
     classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
+    if isinstance(ops, _ClassForm):
+        ops = ops.kraus()
     if ops.ndim == 4:
-        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]; masks[c] selects class c
+        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]
         labels = classes.reshape(h_in.dim, h_out.dim).T
-        masks = labels == np.arange(labels.max() + 1)[:, None, None]
-        masked = np.where(masks[:, None], (u_out.conj().T @ ops @ u_in)[:, None], 0)
-        return (u_out @ masked @ u_in.conj().T).reshape(len(ops), -1, h_out.dim, h_in.dim)
+        return _ClassForm(u_out.conj().T @ ops @ u_in, labels, u_in, u_out)
     mask = classes[:, None] == classes[None, :]
     twirls = []
     for choi in ops:
@@ -485,11 +524,11 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     spectra the twirl is the same at every energy scale.  The input factor
     uses the conjugated eigenbasis because the channel acts on the input index
     through a transpose.  A channel that carries Kraus operators is twirled in
-    that form and the result carries them too (see "Kraus form" in the module
-    docstring).
+    that form, and the result keeps its class form (see "Class form" in the
+    module docstring).
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    twirled = _twirled_ops(_channel_ops(channel)[None], h_in, h_out)[0]
+    twirled = _twirled_ops(_channel_ops(channel), h_in, h_out)
     return _ops_channel(channel.dim_in, channel.dim_out, twirled)
 
 
@@ -516,7 +555,7 @@ def channel_from_kraus(kraus, dim_in: int, dim_out: int) -> QuantumChannel:
     stack = np.array(ops, dtype=complex).reshape(len(ops), dim_out, dim_in)
     if not np.isfinite(stack).all():
         raise ValidationError("kraus operators have non-finite entries")
-    return _ops_channel(dim_in, dim_out, stack)
+    return _ops_channel(dim_in, dim_out, stack[None])
 
 
 def kraus_operators(channel: QuantumChannel) -> list[np.ndarray]:

@@ -581,6 +581,115 @@ def test_scaled_kraus_sets_fail_trace_preservation_by_the_scaling():
         assert report.ok == ok
 
 
+def _twirl_case(din, dout, h_in, h_out, seed):
+    return covariant_twirl(random_channel(din, dout, 2, seed=seed), h_in, h_out), h_in, h_out
+
+
+def _proportional_to_identity():
+    """H = c 1 on both sides: every frequency is 0, so the twirl has one class."""
+    return _twirl_case(3, 4, Hamiltonian(2.5 * np.eye(3)), Hamiltonian(-0.5 * np.eye(4)), 62)
+
+
+CLASS_FORM_CASES = {
+    "ladder-16-4-4": lambda: (
+        ladder_sweep_broadcast(seed=60),
+        ladder_hamiltonian(16, 1.0),
+        total_hamiltonian(ladder_hamiltonian(4, 1.0), ladder_hamiltonian(4, 1.0)),
+    ),
+    "ladder-3-2-2": lambda: _ladder_3_2_2()[1:],
+    # generic spectra share no frequency, so each class holds one entry
+    "generic-3-4": lambda: _twirl_case(
+        3, 4, random_hamiltonian(3, seed=63), random_hamiltonian(4, seed=64), 61
+    ),
+    "identity-3-4": _proportional_to_identity,
+}
+
+
+@pytest.mark.parametrize("case", CLASS_FORM_CASES)
+def test_the_class_form_agrees_with_its_operators_and_its_choi_matrix(case):
+    channel, h_in, h_out = CLASS_FORM_CASES[case]()
+    classes = len(channel._classes.sizes)
+    assert classes == {"identity-3-4": 1, "generic-3-4": 12}.get(case, classes)
+    rng = np.random.default_rng(65)
+    d = channel.dim_in
+    general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    xs = (random_density(d, 2, rng).entries, general)
+    outs = [apply_to_matrix(channel, x) for x in xs]
+    tp, cov = validate_cptp(channel), is_covariant(channel, h_in, h_out)
+    # checked and applied on the class form alone
+    assert channel._kraus is None and channel._choi is None
+    assert (tp.cp_violation, tp.largest_block) == (0.0, 0)
+    dense = channel_from_kraus(channel.kraus, channel.dim_in, channel.dim_out)
+    reference = choi_only(channel)
+    for twin in (dense, reference):
+        for x, out in zip(xs, outs):
+            assert np.abs(out - apply_to_matrix(twin, x)).max() <= 1e-13
+        assert abs(tp.tp_violation - validate_cptp(twin).tp_violation) <= 1e-15
+    choi_cov = is_covariant(reference, h_in, h_out)
+    assert cov.residual >= choi_cov.residual
+    dense_cov = is_covariant(dense, h_in, h_out)
+    assert cov.is_covariant == choi_cov.is_covariant == dense_cov.is_covariant
+    assert cov.is_covariant
+
+
+def _wrong_decomposition(h: Hamiltonian, eigenvalues, eigenvectors) -> Hamiltonian:
+    return Hamiltonian._from_decomposition(h.entries, np.asarray(eigenvalues), eigenvectors)
+
+
+def _certificate(form, h_in_eig, h_out_eig):
+    return channels._kraus_covariance_bound(
+        form.ops[0], h_in_eig, h_out_eig, form.order, form.sizes
+    )
+
+
+def test_a_wrong_kept_decomposition_is_caught_by_the_certificate():
+    h_in = ladder_hamiltonian(3, 1.0)
+    h_out = total_hamiltonian(ladder_hamiltonian(2, 1.0), ladder_hamiltonian(2, 1.0))
+    raw = random_channel(3, 4, 2, seed=66)
+    # swapped eigenvector columns: the basis still diagonalises H_in, so delta stays at rounding,
+    # but the kept energies label its first two columns the wrong way round, which R shows
+    swapped = _wrong_decomposition(h_in, h_in.eigenvalues, h_in.eigenvectors[:, [1, 0, 2]])
+    # a basis that mixes the first two levels, with H~'s diagonal as its energies: the labels
+    # agree with Re diag H~, so only delta, the part of H~ off its diagonal, shows the fault
+    mix = np.eye(3, dtype=complex)
+    mix[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    mixed = _wrong_decomposition(h_in, [1.5, 1.5, 3.0], mix)
+    for wrong in (swapped, mixed):
+        channel = covariant_twirl(raw, wrong, h_out)
+        form = channel._classes
+        h_in_eig = form.u_in.conj().T @ h_in.entries @ form.u_in
+        h_out_eig = form.u_out.conj().T @ h_out.entries @ form.u_out
+        assert _certificate(form, h_in_eig, h_out_eig) > channels.COVARIANCE_TOL
+        report = is_covariant(channel, h_in, h_out)
+        assert report.is_covariant == is_covariant(choi_only(channel), h_in, h_out).is_covariant
+        assert not report.is_covariant
+    # with H~_in cut to its diagonal, the mixing basis passes: delta is what refuses it
+    assert _certificate(form, np.diag(np.diag(h_in_eig)), h_out_eig) <= channels.COVARIANCE_TOL
+
+
+def mask_and_rotate(raw, h_in, h_out):
+    """Reference twirl of a Kraus stack: each operator masked once per ladder frequency class
+    and rotated back, class by class, operator by operator."""
+    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
+    nu = h_out.eigenvalues[:, None] - h_in.eigenvalues[None, :]  # exact on integer ladders
+    labels = np.unique(nu, return_inverse=True)[1].reshape(nu.shape)
+    rotated = u_out.conj().T @ raw.kraus @ u_in
+    classes = range(labels.max() + 1)
+    masked = np.stack([np.where(labels == c, op, 0) for c in classes for op in rotated])
+    return u_out @ masked @ u_in.conj().T
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2), (16, 4, 4)], ids=str)
+def test_the_twirled_operators_are_a_mask_and_rotate_bit_for_bit(dims):
+    din, d1, d2 = dims
+    h_in = ladder_hamiltonian(din, 1.0)
+    h_out = total_hamiltonian(ladder_hamiltonian(d1, 1.0), ladder_hamiltonian(d2, 1.0))
+    raw = random_channel(din, d1 * d2, 2, seed=67)
+    twirled = covariant_twirl(raw, h_in, h_out)
+    assert twirled.kraus.tobytes() == mask_and_rotate(raw, h_in, h_out).tobytes()
+    assert not twirled.kraus.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
@@ -654,6 +763,17 @@ def test_channel_from_kraus_matches_outer_product_sum():
     assert np.array_equal(empty.choi, np.zeros((12, 12)))
     with pytest.raises(DimensionMismatchError):
         channel_from_kraus([kraus[0], kraus[1].T], 3, 4)
+
+
+def test_the_zero_map_is_checked_twirled_and_applied_from_its_empty_operator_list():
+    h_in, h_out = ladder_hamiltonian(3, 1.0), ladder_hamiltonian(4, 1.0)
+    empty = channel_from_kraus([], 3, 4)
+    twirled = covariant_twirl(empty, h_in, h_out)
+    for channel in (empty, twirled):
+        assert is_covariant(channel, h_in, h_out).residual == 0.0
+        assert validate_cptp(channel).tp_violation == 1.0
+        assert not apply_to_matrix(channel, np.eye(3)).any()
+    assert twirled.kraus.shape == (0, 4, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

@@ -30,10 +30,11 @@ check.
 A sweep draws its samples in index order, each from ``default_rng(seed +
 k)``, and evaluates its rows in stacks: the twirl, the gate, the output
 states' checks, the Fisher informations, <E^2> and the margin run over a
-leading row axis, in one row kernel per experiment that the single checks
-run on one row.  A ladder twirl is the same at every energy scale, so each
-stack of samples is twirled once and its class form (see ``channels``)
-serves the rows of every scale, sample by sample.  The gate and the output
+leading row axis, in a row kernel per experiment that the single checks run
+on one row, and one loop draws, twirls and assembles the rows of both.  A
+ladder twirl is the same at every energy scale, so each stack of samples is
+twirled once and its class form (see ``channels``) serves the rows of every
+scale, sample by sample.  The gate and the output
 states are computed on the class form, so no masked operator and no Choi
 matrix is formed.  A stack holds at most ``_STACK_ROWS`` rows, and its
 kernels gather at most ``_STACK_BYTES`` of operator entries, so no more
@@ -161,7 +162,7 @@ def _require_covariant_rows(ops: np.ndarray, h_in: np.ndarray, h_out: np.ndarray
     return residual
 
 
-def _copy_bound_rows(states, ops, h_in, h1, h2, h_total, ground) -> tuple:
+def _copy_bound_rows(states, ops, h_in, h_total, h1, h2, ground) -> tuple:
     """``CopyBoundReport`` columns of a stack of rows.
 
     ``states`` holds the clock states' entries, eigenvalues and eigenvectors
@@ -203,8 +204,8 @@ def copy_bound_check(
     """
     h_total = total_hamiltonian(h1, h2)
     _check_process_dims(clock, broadcast, h_total)
-    hs = (h.entries[None] for h in (clock.hamiltonian, h1, h2, h_total))
-    ground = np.array([h1.eigenvalues[0] + h2.eigenvalues[0]])
+    hs = (h.entries[None] for h in (clock.hamiltonian, h_total, h1, h2))
+    ground = h_total.eigenvalues[:1]
     columns = _copy_bound_rows(_stacked([clock.state]), _channel_ops(broadcast), *hs, ground)
     return CopyBoundReport(*(column[0].item() for column in columns))
 
@@ -385,79 +386,67 @@ def _rows_per_stack(row_entries: int) -> int:
     return max(1, min(_STACK_ROWS, _STACK_BYTES // (16 * row_entries)))
 
 
-def _copy_bound_sweep(cfg: dict, seed: int) -> list:
-    dim_in, d1, d2, scales = cfg["dim_in"], cfg["dim_out1"], cfg["dim_out2"], cfg["energy_scales"]
-    levels = []
-    for lam in scales:
-        quantum = cfg["energy_quantum"] * lam
-        h1 = ladder_hamiltonian(d1, quantum)
-        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum)
-        levels.append((ladder_hamiltonian(dim_in, quantum), h1, h2, total_hamiltonian(h1, h2)))
-    grounds = [h1.eigenvalues[0] + h2.eigenvalues[0] for _, h1, h2, _ in levels]
-    state = _equal_superposition(dim_in) if cfg["clock"] == "equal_superposition" else None
-    shared = {"dim_in": dim_in, "dim_out1": d1, "dim_out2": d2}
-    shared.update(kraus_rank=cfg["kraus_rank"], clock=cfg["clock"])
+def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **shared) -> list:
+    """Rows of either experiment, in stacks that ``kernel`` evaluates at every level.
 
+    ``levels`` holds (energy scale, h_in, h_out, *rest) per scale: the gate's
+    Hamiltonians, the first pair also the twirl's, then the kernel's further
+    arguments.  ``cells`` maps row cells to kernel column indices, and
+    ``shared`` gives cells common to all rows.
+    """
+    h_in, h_out = levels[0][1:3]
+    args = [(level[1].entries, level[2].entries, *level[3:]) for level in levels]
+    clock = cfg.get("clock", "random")  # a monotonicity sweep draws a random clock per sample
+    state = _equal_superposition(h_in.dim) if clock == "equal_superposition" else None
+    cap = _rows_per_stack(cfg["kraus_rank"] * h_in.dim * h_out.dim**2)
+    per_stack = max(1, cap // len(levels))
     rows = []
-    n_scales = len(scales)
-    cap = _rows_per_stack(cfg["kraus_rank"] * dim_in * (d1 * d2) ** 2)
-    per_stack = max(1, cap // n_scales)
-    # a ladder twirl has the same frequency classes, so the same operators, at every scale
-    h_in, _, _, h_total = levels[0]
     for start in range(0, cfg["samples"], per_stack):
         ks = range(start, min(cfg["samples"], start + per_stack))
-        states, raws = _draws(seed, ks, dim_in, d1 * d2, cfg["kraus_rank"], state)
-        twirled = _twirled_ops(raws, h_in, h_total)
+        states, raws = _draws(seed, ks, h_in.dim, h_out.dim, cfg["kraus_rank"], state)
+        # a ladder twirl has the same frequency classes, so the same operators, at every scale
+        twirled = _twirled_ops(raws, h_in, h_out)
         per_batch = max(1, cap // len(ks))  # scales whose rows are held at once
-        for first in range(0, n_scales, per_batch):
-            batch = range(first, min(n_scales, first + per_batch))
+        for first in range(0, len(levels), per_batch):
+            batch = range(first, min(len(levels), first + per_batch))
             # sample-major rows: a stack of several samples holds all their scales in one batch
             ops = twirled if len(batch) == 1 else twirled.repeat(len(batch))
-            hs = (np.stack([levels[s][j].entries for s in batch] * len(ks)) for j in range(4))
-            ground = np.array([grounds[s] for s in batch] * len(ks))
-            row_states = _stacked([st for st in states for _ in batch])
-            columns = _copy_bound_rows(row_states, ops, *hs, ground)
-            report = zip(CopyBoundReport.__dataclass_fields__, (c.tolist() for c in columns))
+            hs = (np.stack([args[s][j] for s in batch] * len(ks)) for j in range(len(args[0])))
+            columns = kernel(_stacked([st for st in states for _ in batch]), ops, *hs)
             samples = [k for k in ks for _ in batch]
             rows += _rows(
                 len(samples),
-                **dict(report),
+                **{cell: columns[j].tolist() for cell, j in cells.items()},
                 **shared,
                 sample_id=samples,
                 seed=[seed + k for k in samples],
-                energy_scale=[scales[s] for s in batch] * len(ks),
+                dim_in=h_in.dim,
+                kraus_rank=cfg["kraus_rank"],
+                energy_scale=[levels[s][0] for s in batch] * len(ks),
+                clock=clock,
             )
     return rows
 
 
+def _copy_bound_sweep(cfg: dict, seed: int) -> list:
+    d1, d2 = cfg["dim_out1"], cfg["dim_out2"]
+    levels = []
+    for lam in cfg["energy_scales"]:
+        quantum = cfg["energy_quantum"] * lam
+        h1 = ladder_hamiltonian(d1, quantum)
+        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum)
+        h_in, h_total = ladder_hamiltonian(cfg["dim_in"], quantum), total_hamiltonian(h1, h2)
+        levels.append((lam, h_in, h_total, h1.entries, h2.entries, h_total.eigenvalues[0]))
+    cells = {name: j for j, name in enumerate(CopyBoundReport.__dataclass_fields__)}
+    return _sweep_rows(cfg, seed, levels, _copy_bound_rows, cells, dim_out1=d1, dim_out2=d2)
+
+
 def _monotonicity_sweep(cfg: dict, seed: int) -> list:
-    dim, dim_out = cfg["dim"], cfg["dim_out"]
-    h_in, h_out = ladder_hamiltonian(dim, 1.0), ladder_hamiltonian(dim_out, 1.0)
-    rows = []
-    cap = _rows_per_stack(cfg["kraus_rank"] * dim * dim_out**2)
-    for start in range(0, cfg["samples"], cap):
-        ks = range(start, min(cfg["samples"], start + cap))
-        states, raws = _draws(seed, ks, dim, dim_out, cfg["kraus_rank"])
-        hs = (np.broadcast_to(h.entries, (len(ks), h.dim, h.dim)) for h in (h_in, h_out))
-        columns = _monotonicity_rows(_stacked(states), _twirled_ops(raws, h_in, h_out), *hs)
-        f_in, f_out, residual, holds, margin = (c.tolist() for c in columns)
-        rows += _rows(
-            len(ks),
-            sample_id=list(ks),
-            seed=[seed + k for k in ks],
-            dim_in=dim,
-            dim_out1=dim_out,
-            f_in=f_in,
-            f1=f_out,
-            lhs=f_in,
-            rhs=f_out,
-            margin=margin,
-            satisfied=holds,
-            covariance_residual=residual,
-            kraus_rank=cfg["kraus_rank"],
-            clock="random",
-        )
-    return rows
+    h_in, h_out = ladder_hamiltonian(cfg["dim"], 1.0), ladder_hamiltonian(cfg["dim_out"], 1.0)
+    # f_in, f_out, residual, holds, margin; lhs and rhs repeat f_in and f_out
+    cells = dict(f_in=0, f1=1, lhs=0, rhs=1, covariance_residual=2, satisfied=3, margin=4)
+    levels = [(None, h_in, h_out)]
+    return _sweep_rows(cfg, seed, levels, _monotonicity_rows, cells, dim_out1=h_out.dim)
 
 
 def _normalize_config(config: dict) -> dict:
@@ -484,10 +473,16 @@ def _normalize_config(config: dict) -> dict:
         out["energy_quantum"] = _field(config, "energy_quantum", float, 1.0)
         scales = _field(config, "energy_scales", list, [1.0])
         out["energy_scales"] = [_checked("energy_scales", s, float) for s in scales]
+        dim_in, dim_out = out["dim_in"], out["dim_out1"] * out["dim_out2"]
     else:
-        out["dim"] = _field(config, "dim", int)
-        out["dim_out"] = _field(config, "dim_out", int, out["dim"])
+        dim_in = out["dim"] = _field(config, "dim", int)
+        dim_out = out["dim_out"] = _field(config, "dim_out", int, out["dim"])
         out["kraus_rank"] = _field(config, "kraus_rank", int, 2)
+    if out["kraus_rank"] * dim_out < dim_in:  # no isometry from dim_in into dim_out (x) C^rank
+        raise ConfigError(
+            f"sweep config field 'kraus_rank' must be at least {-(-dim_in // dim_out)} for a "
+            f"{dim_in} -> {dim_out} channel (kraus_rank * dim_out >= dim_in), got {out['kraus_rank']}"
+        )
     return out
 
 
@@ -512,6 +507,7 @@ def sweep(config: dict, seed=None) -> SweepResult:
         "experiment": cfg["experiment"],
         "samples": samples,
         "rows": len(rows),
+        "trivial_rows": margins.count(math.inf),
         "min_margin": min(margins),
         "all_satisfied": all(row["satisfied"] for row in rows),
     }

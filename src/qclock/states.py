@@ -178,6 +178,12 @@ class ClockSystem:
     """A state paired with the Hamiltonian that evolves it."""
 
     def __init__(self, state: DensityMatrix, hamiltonian: Hamiltonian):
+        arguments = {"state": (state, DensityMatrix), "hamiltonian": (hamiltonian, Hamiltonian)}
+        for name, (value, kind) in arguments.items():
+            if not isinstance(value, kind):
+                raise ValidationError(
+                    f"ClockSystem {name} must be a {kind.__name__}, got {type(value).__name__}"
+                )
         if state.dim != hamiltonian.dim:
             raise DimensionMismatchError(
                 f"state dim {state.dim} != hamiltonian dim {hamiltonian.dim}"

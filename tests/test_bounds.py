@@ -28,6 +28,7 @@ from qclock import (
     validate_cptp,
 )
 from qclock.bounds import CSV_COLUMNS, EXTRA_COLUMNS
+from qclock.fisher import F_FLOOR
 from reference import append_state_channel, depolarizing_channel
 
 
@@ -441,6 +442,9 @@ def test_sweep_rejects_a_negative_seed():
         (dict(MONO_CFG, dim_out=0), "dim_out"),
         (dict(MONO_CFG, kraus_rank=1.5), "kraus_rank"),
         (dict(MONO_CFG, experiment=["monotonicity"]), "experiment"),
+        # kraus_rank * dim_out < dim_in: no channel has so few Kraus operators
+        (dict(COPY_CFG, samples=2, dim_in=16), "kraus_rank"),
+        (dict(MONO_CFG, dim=5, dim_out=2), "kraus_rank"),
     ],
 )
 def test_sweep_config_rejects_bad_values_by_field(cfg, field):
@@ -481,6 +485,25 @@ def test_sweep_energy_scales_are_a_units_check(clock):
         for key in ("f_in", "f1", "e2"):
             assert row[key] / lam**2 == pytest.approx(base[key], rel=1e-9)
         assert row["margin"] * lam**2 == pytest.approx(base["margin"], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "cfg, vacuous",
+    [
+        (dict(COPY_CFG, samples=3, dim_in=2, dim_out1=1, dim_out2=1), True),  # 1-dim outputs
+        (dict(COPY_CFG, samples=3, dim_in=4, energy_scales=[1e-7]), True),  # F1 = F2 ~ 1e-14
+        (COPY_CFG, False),
+        (MONO_CFG, False),
+    ],
+    ids=["one-level-outputs", "tiny-energy", "copy_bound", "monotonicity"],
+)
+def test_sweep_summary_counts_the_vacuous_rows(cfg, vacuous):
+    # a vacuous row has F1 or F2 at most F_FLOOR, so an infinite margin, and holds; the sweep passes
+    result = sweep(cfg, seed=1)
+    trivial = [row for row in result.rows if row["margin"] == math.inf]
+    assert result.summary["trivial_rows"] == len(trivial) == (len(result.rows) if vacuous else 0)
+    assert all(min(row["f1"], row["f2"]) <= F_FLOOR for row in trivial)
+    assert result.summary["all_satisfied"]
 
 
 def test_sweep_random_clock_copy_bound():
@@ -642,38 +665,47 @@ def test_a_stack_gates_each_row_as_its_single_check():
     assert str(stacked.value) == str(single.value)
 
 
+def _record_stacks(monkeypatch) -> dict:
+    """Patch both row kernels to record the number of rows of each stack they get, by kernel."""
+    from qclock import bounds
+
+    stacks = {}
+    for name in ("_copy_bound_rows", "_monotonicity_rows"):
+        def recording(states, ops, *rest, kernel=getattr(bounds, name), name=name):
+            stacks.setdefault(name, []).append(len(ops))
+            return kernel(states, ops, *rest)
+
+        monkeypatch.setattr(bounds, name, recording)
+    return stacks
+
+
 def test_no_stack_exceeds_the_cap_whatever_the_number_of_scales(monkeypatch):
     from qclock import bounds
 
-    cfg = dict(COPY_CFG, samples=3, energy_scales=[1e-10, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-10])
-    rows = sweep(cfg, seed=24).rows
-    stacks = []
-    copy_bound_rows = bounds._copy_bound_rows
-
-    def recording(states, ops, *rest):
-        stacks.append(len(ops))
-        return copy_bound_rows(states, ops, *rest)
-
-    monkeypatch.setattr(bounds, "_copy_bound_rows", recording)
+    cfgs = {
+        "_copy_bound_rows": dict(
+            COPY_CFG, samples=3, energy_scales=[1e-10, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-10]
+        ),
+        "_monotonicity_rows": dict(MONO_CFG, samples=7),  # one scale: stacks of samples only
+    }
+    rows = {name: sweep(cfg, seed=24).rows for name, cfg in cfgs.items()}
+    stacks = _record_stacks(monkeypatch)
     monkeypatch.setattr(bounds, "_STACK_ROWS", 4)  # fewer rows than one sample has scales
-    assert sweep(cfg, seed=24).rows == rows
-    assert max(stacks) <= 4
-    assert sum(stacks) == len(rows)
+    assert {name: sweep(cfg, seed=24).rows for name, cfg in cfgs.items()} == rows
+    for name in cfgs:
+        assert max(stacks[name]) <= 4
+        assert sum(stacks[name]) == len(rows[name])
 
 
 def test_rows_too_large_for_a_stack_run_one_at_a_time(monkeypatch):
     from qclock import bounds
 
-    cfg = dict(COPY_CFG, samples=3, energy_scales=[1e-10, 1.0])
-    rows = sweep(cfg, seed=25).rows
-    stacks = []
-    copy_bound_rows = bounds._copy_bound_rows
-
-    def recording(states, ops, *rest):
-        stacks.append(len(ops))
-        return copy_bound_rows(states, ops, *rest)
-
-    monkeypatch.setattr(bounds, "_copy_bound_rows", recording)
+    cfgs = {
+        "_copy_bound_rows": dict(COPY_CFG, samples=3, energy_scales=[1e-10, 1.0]),
+        "_monotonicity_rows": dict(MONO_CFG, samples=3),
+    }
+    rows = {name: sweep(cfg, seed=25).rows for name, cfg in cfgs.items()}
+    stacks = _record_stacks(monkeypatch)
     monkeypatch.setattr(bounds, "_STACK_BYTES", 1)  # below one row's operators
-    assert sweep(cfg, seed=25).rows == rows
-    assert stacks == [1] * len(rows)
+    assert {name: sweep(cfg, seed=25).rows for name, cfg in cfgs.items()} == rows
+    assert stacks == {name: [1] * len(rows[name]) for name in cfgs}

@@ -120,6 +120,15 @@ def test_clock_requires_matching_dims():
         ClockSystem(DensityMatrix(np.eye(2) / 2), Hamiltonian(np.eye(3)))
 
 
+def test_clock_names_an_argument_of_the_wrong_type():
+    # swapped, the two arguments have matching dims, and only their types tell them apart
+    clock = plus_clock()
+    with pytest.raises(ValidationError, match="state must be a DensityMatrix, got Hamiltonian"):
+        ClockSystem(clock.hamiltonian, clock.state)
+    with pytest.raises(ValidationError, match="hamiltonian must be a Hamiltonian, got ndarray"):
+        ClockSystem(clock.state, clock.hamiltonian.entries)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------

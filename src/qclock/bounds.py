@@ -36,10 +36,11 @@ ladder twirl is the same at every energy scale, so each stack of samples is
 twirled once and its class form (see ``channels``) serves the rows of every
 scale, sample by sample.  The gate and the output
 states are computed on the class form, so no masked operator and no Choi
-matrix is formed.  A stack holds at most ``_STACK_ROWS`` rows, and its
-kernels gather at most ``_STACK_BYTES`` of operator entries, so no more
-rows' work is held at once.  Each row is treated on its own, so its bits do
-not depend on the stack it is in.
+matrix is formed.  One rule sizes a stack: its kernels gather at most
+``_STACK_BYTES`` of operator entries, so 512 rows at (4,2,2), 64 for a d = 8
+monotonicity sweep, 50 at (8,3,3), 8 at (16,4,4) and 1 at (32,6,6), and no
+more rows' work is held at once.  Each row is treated on its own, so its
+bits do not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -73,10 +74,9 @@ from .states import (
 )
 
 MARGIN_TOL = 1e-8
-# the most rows, and the most bytes of gathered operator entries, that a sweep holds as one
-# stack: a stack saves per-call overhead on small rows, while rows of ~1 MB run fastest one at
-# a time
-_STACK_ROWS = 16
+# the most bytes of gathered operator entries that a sweep holds as one stack, the one rule that
+# sizes it: a stack saves per-call overhead on small rows (512 rows at (4,2,2), 8 at (16,4,4)),
+# while rows of ~1 MB, as at (32,6,6), run fastest one at a time
 _STACK_BYTES = 2**20
 
 
@@ -374,18 +374,6 @@ def _stacked(states: list) -> tuple:
     return tuple(np.stack([getattr(st, name) for st in states]) for name in names)
 
 
-def _rows_per_stack(row_entries: int) -> int:
-    """Rows a stack holds when the kernels gather ``row_entries`` complex entries per row: at
-    most ``_STACK_ROWS``, and at most ``_STACK_BYTES`` of them.
-
-    The sweeps pass ``rank * dim_in * dim_out**2``: a row gathers ``rank`` entries for each
-    within-class pair of its class form (see ``channels``), and a ladder class holds at most
-    one entry per output level, so each of the ``dim_in * dim_out`` entries has at most
-    ``dim_out`` partners.
-    """
-    return max(1, min(_STACK_ROWS, _STACK_BYTES // (16 * row_entries)))
-
-
 def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **shared) -> list:
     """Rows of either experiment, in stacks that ``kernel`` evaluates at every level.
 
@@ -398,7 +386,10 @@ def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **share
     args = [(level[1].entries, level[2].entries, *level[3:]) for level in levels]
     clock = cfg.get("clock", "random")  # a monotonicity sweep draws a random clock per sample
     state = _equal_superposition(h_in.dim) if clock == "equal_superposition" else None
-    cap = _rows_per_stack(cfg["kraus_rank"] * h_in.dim * h_out.dim**2)
+    # rows per stack: a row gathers kraus_rank complex entries of 16 bytes for each within-class
+    # pair of its class form (see channels), and a ladder class holds at most one entry per output
+    # level, so each of the dim_in * dim_out entries has at most dim_out partners
+    cap = max(1, _STACK_BYTES // (16 * cfg["kraus_rank"] * h_in.dim * h_out.dim**2))
     per_stack = max(1, cap // len(levels))
     rows = []
     for start in range(0, cfg["samples"], per_stack):
@@ -478,6 +469,10 @@ def _normalize_config(config: dict) -> dict:
         dim_in = out["dim"] = _field(config, "dim", int)
         dim_out = out["dim_out"] = _field(config, "dim_out", int, out["dim"])
         out["kraus_rank"] = _field(config, "kraus_rank", int, 2)
+    # out holds every field the experiment reads; 'seed' is accepted and not read
+    unknown = [name for name in config if name not in out and name not in ("hamiltonians", "seed")]
+    if unknown:
+        raise ConfigError(f"sweep config field {unknown[0]!r} is not a {experiment} field")
     if out["kraus_rank"] * dim_out < dim_in:  # no isometry from dim_in into dim_out (x) C^rank
         raise ConfigError(
             f"sweep config field 'kraus_rank' must be at least {-(-dim_in // dim_out)} for a "

@@ -330,6 +330,6 @@ def orthogonal_times(n: int, quantum: float) -> np.ndarray:
     """
     if n < 2:
         raise DomainError(f"need at least two levels, got {n}")
-    if not (quantum > 0):
-        raise DomainError(f"energy quantum must be positive, got {quantum!r}")
+    if not 0 < quantum < np.inf:  # NaN fails too
+        raise DomainError(f"energy quantum must be finite and positive, got {quantum!r}")
     return 2.0 * np.pi * np.arange(n) / (n * quantum)

@@ -445,6 +445,12 @@ def test_sweep_rejects_a_negative_seed():
         # kraus_rank * dim_out < dim_in: no channel has so few Kraus operators
         (dict(COPY_CFG, samples=2, dim_in=16), "kraus_rank"),
         (dict(MONO_CFG, dim=5, dim_out=2), "kraus_rank"),
+        # a field the experiment does not read: a typo, or another experiment's field
+        (dict(MONO_CFG, kraus_rnk=4), "kraus_rnk"),
+        (dict(COPY_CFG, kraus_rnk=4), "kraus_rnk"),
+        (dict(MONO_CFG, energy_scales=[1.0, 2.0]), "energy_scales"),
+        (dict(MONO_CFG, clock="random"), "clock"),
+        (dict(COPY_CFG, dim=3), "dim"),
     ],
 )
 def test_sweep_config_rejects_bad_values_by_field(cfg, field):
@@ -623,6 +629,16 @@ def test_a_ladder_twirl_is_the_same_at_every_energy_scale():
     assert all(ops.tobytes() == twirls[0].tobytes() for ops in twirls[1:])
 
 
+def _stack_bytes(cfg: dict, rows: int) -> int:
+    """A ``bounds._STACK_BYTES`` that gives stacks of ``rows`` rows to sweeps of ``cfg``: a row
+    gathers ``kraus_rank * dim_in * dim_out**2`` complex entries of 16 bytes."""
+    if cfg["experiment"] == "copy_bound":
+        dim_in, dim_out = cfg["dim_in"], cfg["dim_out1"] * cfg["dim_out2"]
+    else:
+        dim_in, dim_out = cfg["dim"], cfg.get("dim_out", cfg["dim"])
+    return rows * 16 * cfg.get("kraus_rank", 2) * dim_in * dim_out**2
+
+
 @pytest.mark.parametrize(
     "cfg", [dict(COPY_CFG, samples=7, energy_scales=[1.0, 2.0]), dict(MONO_CFG, samples=7)]
 )
@@ -630,7 +646,8 @@ def test_sweep_rows_do_not_depend_on_the_stack_size(monkeypatch, cfg):
     from qclock import bounds
 
     rows = sweep(cfg, seed=23).rows
-    monkeypatch.setattr(bounds, "_STACK_ROWS", 3)  # uneven stacks, split across samples
+    # uneven stacks, split across samples
+    monkeypatch.setattr(bounds, "_STACK_BYTES", _stack_bytes(cfg, 3))
     assert sweep(cfg, seed=23).rows == rows
 
 
@@ -690,8 +707,10 @@ def test_no_stack_exceeds_the_cap_whatever_the_number_of_scales(monkeypatch):
     }
     rows = {name: sweep(cfg, seed=24).rows for name, cfg in cfgs.items()}
     stacks = _record_stacks(monkeypatch)
-    monkeypatch.setattr(bounds, "_STACK_ROWS", 4)  # fewer rows than one sample has scales
-    assert {name: sweep(cfg, seed=24).rows for name, cfg in cfgs.items()} == rows
+    for name, cfg in cfgs.items():
+        # fewer rows than one sample has scales
+        monkeypatch.setattr(bounds, "_STACK_BYTES", _stack_bytes(cfg, 4))
+        assert sweep(cfg, seed=24).rows == rows[name]
     for name in cfgs:
         assert max(stacks[name]) <= 4
         assert sum(stacks[name]) == len(rows[name])
@@ -709,3 +728,18 @@ def test_rows_too_large_for_a_stack_run_one_at_a_time(monkeypatch):
     monkeypatch.setattr(bounds, "_STACK_BYTES", 1)  # below one row's operators
     assert {name: sweep(cfg, seed=25).rows for name, cfg in cfgs.items()} == rows
     assert stacks == {name: [1] * len(rows[name]) for name in cfgs}
+
+
+def test_small_sweeps_run_as_one_stack_and_large_rows_in_small_ones(monkeypatch):
+    # only _STACK_BYTES sizes a stack: 512 rows at (4,2,2), 8 at (16,4,4)
+    stacks = _record_stacks(monkeypatch)
+    small = {"experiment": "copy_bound", "samples": 100, "dim_in": 4, "dim_out1": 2,
+             "dim_out2": 2, "energy_scales": [1, 2, 4, 8]}
+    assert len(sweep(small, seed=27).rows) == 400
+    assert stacks == {"_copy_bound_rows": [400]}
+    large = {"experiment": "copy_bound", "samples": 20, "dim_in": 16, "dim_out1": 4,
+             "dim_out2": 4}
+    stacks.clear()
+    assert len(sweep(large, seed=27).rows) == 20
+    assert max(stacks["_copy_bound_rows"]) <= 8
+    assert sum(stacks["_copy_bound_rows"]) == 20

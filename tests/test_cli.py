@@ -246,6 +246,12 @@ def test_orthogonal_times_subcommand():
     assert doc["max_overlap"] <= 1e-10
 
 
+def test_orthogonal_times_subcommand_rejects_an_infinite_quantum():
+    code, out = run_cli(["orthogonal-times", "--levels", "4", "--quantum", "inf"])
+    assert code == 2
+    assert json.loads(out)["code"] == "domain"
+
+
 def test_copy_bound_and_monotonicity_subcommands(tmp_path):
     clock = equal_superposition_clock(4, 1.0)
     h1 = ladder_hamiltonian(2, 1.0)
@@ -612,7 +618,7 @@ def test_readme_tolerances_name_constants_of_that_value():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     conventions = readme.split("\n## Conventions\n")[1].split("\n## ")[0]
     pairs = re.findall(r"`([^`]+)`\s+\(`(\w+)\.(\w+)`\)", conventions)
-    assert len(pairs) == 10
+    assert len(pairs) == 15
     for value, module_name, name in pairs:
         module = importlib.import_module(f"qclock.{module_name}")
         assert hasattr(module, name), f"README names {module_name}.{name}, which does not exist"

@@ -41,9 +41,21 @@ matrix is formed.  One rule sizes a stack: its kernels gather at most
 monotonicity sweep, 50 at (8,3,3), 8 at (16,4,4) and 1 at (32,6,6), and no
 more rows' work is held at once.  Each row is treated on its own, so its
 bits do not depend on the stack it is in.
+
+What a sweep derives from its config alone is built once per shape and
+process, not once per call: each level's Hamiltonians with the joint
+output's ``total_hamiltonian``, the flat clock state and the twirl's class
+structure.  ``_shape`` keeps them, read-only, in a ``functools.lru_cache`` of
+``_SHAPES`` = 4 shapes keyed by the experiment, its dimensions, the ladder
+spacing ``energy_quantum`` times each scale in order, and the clock.  The
+class structure is most of an entry, 128 KiB at (16,4,4) and 1.2 MiB at
+(32,6,6), so the cache holds at most ~5.4 MB.  The draw, the twirl, the gate,
+the output states' checks, the Fisher informations and the margin still run
+on every row.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -59,6 +71,7 @@ from .channels import (
     _covariance_rows,
     _cptp_rows,
     _partial_trace_matrix,
+    _twirl_structure,
     _twirled_ops,
     random_channel,
 )
@@ -374,32 +387,61 @@ def _stacked(states: list) -> tuple:
     return tuple(np.stack([getattr(st, name) for st in states]) for name in names)
 
 
-def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **shared) -> list:
+# sweep shapes whose derived arrays one process keeps (see the module docstring)
+_SHAPES = 4
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _shape(experiment: str, dims: tuple, quanta: tuple, clock: str) -> tuple:
+    """What a sweep derives from its shape alone, built once per shape and process.
+
+    ``dims`` are the experiment's dimensions, input first, and ``quanta`` the
+    ladder spacing of each level.  Returns each level's kernel arguments after
+    the states and operators (h_in and h_out entries, then the experiment's
+    further arguments), the flat clock state (None for a random clock) and
+    the twirl's class structure, which the first level's Hamiltonians give
+    and which is the same at every level.  Every array is read-only.
+    """
+    levels = []
+    for quantum in quanta:
+        h_in = ladder_hamiltonian(dims[0], quantum)
+        if experiment == "copy_bound":
+            h1 = ladder_hamiltonian(dims[1], quantum)
+            h2 = h1 if dims[2] == dims[1] else ladder_hamiltonian(dims[2], quantum)
+            h_total = total_hamiltonian(h1, h2)
+            levels.append((h_in, h_total, h1.entries, h2.entries, h_total.eigenvalues[0]))
+        else:
+            levels.append((h_in, ladder_hamiltonian(dims[1], quantum)))
+    h_in, h_out = levels[0][:2]
+    state = _equal_superposition(h_in.dim) if clock == "equal_superposition" else None
+    args = tuple((level[0].entries, level[1].entries, *level[2:]) for level in levels)
+    return args, state, _twirl_structure(h_in, h_out)
+
+
+def _sweep_rows(cfg: dict, seed: int, shape: tuple, scales: list, kernel, cells: dict, **shared) -> list:
     """Rows of either experiment, in stacks that ``kernel`` evaluates at every level.
 
-    ``levels`` holds (energy scale, h_in, h_out, *rest) per scale: the gate's
-    Hamiltonians, the first pair also the twirl's, then the kernel's further
-    arguments.  ``cells`` maps row cells to kernel column indices, and
-    ``shared`` gives cells common to all rows.
+    ``shape`` is the sweep's :func:`_shape` and ``scales`` the energy scale
+    of each of its levels.  ``cells`` maps row cells to kernel column
+    indices, and ``shared`` gives cells common to all rows.
     """
-    h_in, h_out = levels[0][1:3]
-    args = [(level[1].entries, level[2].entries, *level[3:]) for level in levels]
+    args, state, classes = shape
+    dim_in, dim_out = len(args[0][0]), len(args[0][1])
     clock = cfg.get("clock", "random")  # a monotonicity sweep draws a random clock per sample
-    state = _equal_superposition(h_in.dim) if clock == "equal_superposition" else None
     # rows per stack: a row gathers kraus_rank complex entries of 16 bytes for each within-class
     # pair of its class form (see channels), and a ladder class holds at most one entry per output
     # level, so each of the dim_in * dim_out entries has at most dim_out partners
-    cap = max(1, _STACK_BYTES // (16 * cfg["kraus_rank"] * h_in.dim * h_out.dim**2))
-    per_stack = max(1, cap // len(levels))
+    cap = max(1, _STACK_BYTES // (16 * cfg["kraus_rank"] * dim_in * dim_out**2))
+    per_stack = max(1, cap // len(args))
     rows = []
     for start in range(0, cfg["samples"], per_stack):
         ks = range(start, min(cfg["samples"], start + per_stack))
-        states, raws = _draws(seed, ks, h_in.dim, h_out.dim, cfg["kraus_rank"], state)
+        states, raws = _draws(seed, ks, dim_in, dim_out, cfg["kraus_rank"], state)
         # a ladder twirl has the same frequency classes, so the same operators, at every scale
-        twirled = _twirled_ops(raws, h_in, h_out)
+        twirled = _twirled_ops(raws, classes)
         per_batch = max(1, cap // len(ks))  # scales whose rows are held at once
-        for first in range(0, len(levels), per_batch):
-            batch = range(first, min(len(levels), first + per_batch))
+        for first in range(0, len(args), per_batch):
+            batch = range(first, min(len(args), first + per_batch))
             # sample-major rows: a stack of several samples holds all their scales in one batch
             ops = twirled if len(batch) == 1 else twirled.repeat(len(batch))
             hs = (np.stack([args[s][j] for s in batch] * len(ks)) for j in range(len(args[0])))
@@ -411,9 +453,9 @@ def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **share
                 **shared,
                 sample_id=samples,
                 seed=[seed + k for k in samples],
-                dim_in=h_in.dim,
+                dim_in=dim_in,
                 kraus_rank=cfg["kraus_rank"],
-                energy_scale=[levels[s][0] for s in batch] * len(ks),
+                energy_scale=[scales[s] for s in batch] * len(ks),
                 clock=clock,
             )
     return rows
@@ -421,23 +463,18 @@ def _sweep_rows(cfg: dict, seed: int, levels: list, kernel, cells: dict, **share
 
 def _copy_bound_sweep(cfg: dict, seed: int) -> list:
     d1, d2 = cfg["dim_out1"], cfg["dim_out2"]
-    levels = []
-    for lam in cfg["energy_scales"]:
-        quantum = cfg["energy_quantum"] * lam
-        h1 = ladder_hamiltonian(d1, quantum)
-        h2 = h1 if d2 == d1 else ladder_hamiltonian(d2, quantum)
-        h_in, h_total = ladder_hamiltonian(cfg["dim_in"], quantum), total_hamiltonian(h1, h2)
-        levels.append((lam, h_in, h_total, h1.entries, h2.entries, h_total.eigenvalues[0]))
+    quanta = tuple(cfg["energy_quantum"] * lam for lam in cfg["energy_scales"])
+    shape = _shape("copy_bound", (cfg["dim_in"], d1, d2), quanta, cfg["clock"])
     cells = {name: j for j, name in enumerate(CopyBoundReport.__dataclass_fields__)}
-    return _sweep_rows(cfg, seed, levels, _copy_bound_rows, cells, dim_out1=d1, dim_out2=d2)
+    scales = cfg["energy_scales"]
+    return _sweep_rows(cfg, seed, shape, scales, _copy_bound_rows, cells, dim_out1=d1, dim_out2=d2)
 
 
 def _monotonicity_sweep(cfg: dict, seed: int) -> list:
-    h_in, h_out = ladder_hamiltonian(cfg["dim"], 1.0), ladder_hamiltonian(cfg["dim_out"], 1.0)
+    shape = _shape("monotonicity", (cfg["dim"], cfg["dim_out"]), (1.0,), "random")
     # f_in, f_out, residual, holds, margin; lhs and rhs repeat f_in and f_out
     cells = dict(f_in=0, f1=1, lhs=0, rhs=1, covariance_residual=2, satisfied=3, margin=4)
-    levels = [(None, h_in, h_out)]
-    return _sweep_rows(cfg, seed, levels, _monotonicity_rows, cells, dim_out1=h_out.dim)
+    return _sweep_rows(cfg, seed, shape, [None], _monotonicity_rows, cells, dim_out1=cfg["dim_out"])
 
 
 def _normalize_config(config: dict) -> dict:

@@ -87,8 +87,12 @@ In the eigenbases the twirled Choi matrix is block diagonal over the
 classes, and its entries are G_p = sum_m K~_m[a, i] conj(K~_m[b, j]) on the
 within-class pairs p = ((a, i), (b, j)): 3,640 pairs at (16, 4, 4), where
 the masked operators would hold 11,264 entries, 95% of them zero.  The class
-structure (the pairs, and the entries listed class by class) is built once
-per twirl, and the checks run on it:
+structure (the labels, the eigenbases, the pairs, and the entries listed
+class by class) is built once per :func:`covariant_twirl`, and a sweep builds
+it once per shape and process and keeps it, read-only, in its cache of 4
+shapes keyed by experiment, dimensions, ladder spacings and clock (128 KiB
+at (16, 4, 4), 1.2 MiB at (32, 6, 6); see :mod:`qclock.bounds`).  The checks
+run on it:
 
 - CP: 0.0 by construction, as for any channel that carries operators.
 - TP: the pairs with a = b, summed onto (i, j) and rotated back by U_in,
@@ -160,7 +164,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classform import _ClassForm, _kraus_covariance_bound
+from .classform import _Classes, _ClassForm, _kraus_covariance_bound
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .states import (
     DensityMatrix,
@@ -489,22 +493,28 @@ def _twirl_classes(e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
     return _frequency_classes(nu, FREQ_TOL * max(np.abs(e_in).max(), np.abs(e_out).max()))
 
 
-def _twirled_ops(ops, h_in: Hamiltonian, h_out: Hamiltonian):
+def _twirl_structure(h_in: Hamiltonian, h_out: Hamiltonian) -> _Classes:
+    """The class structure of the covariant twirl for (h_in, h_out); see "Class form"."""
+    classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
+    # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]
+    return _Classes(classes.reshape(h_in.dim, h_out.dim).T, h_in.eigenvectors, h_out.eigenvectors)
+
+
+def _twirled_ops(ops, classes: _Classes):
     """The covariant twirl of each channel of a stack ``ops``, as :func:`_apply_rows` takes it.
 
-    Kraus stacks (B, r, dout, din), and class forms through their operators,
-    give a class form, and Choi matrices give Choi matrices; see "Class form"
-    in the module docstring and :func:`covariant_twirl`.
+    ``classes`` is the twirl's :func:`_twirl_structure`.  Kraus stacks
+    (B, r, dout, din), and class forms through their operators, give a class
+    form, and Choi matrices give Choi matrices; see "Class form" in the module
+    docstring and :func:`covariant_twirl`.
     """
-    u_in, u_out = h_in.eigenvectors, h_out.eigenvectors
-    classes = _twirl_classes(h_in.eigenvalues, h_out.eigenvalues)
+    u_in, u_out = classes.u_in, classes.u_out
     if isinstance(ops, _ClassForm):
         ops = ops.kraus()
     if ops.ndim == 4:
-        # entry (a, i) of U_out† K U_in has frequency nu[i*dout + a]
-        labels = classes.reshape(h_in.dim, h_out.dim).T
-        return _ClassForm(u_out.conj().T @ ops @ u_in, labels, u_in, u_out)
-    mask = classes[:, None] == classes[None, :]
+        return _ClassForm(u_out.conj().T @ ops @ u_in, classes)
+    flat = classes.labels.T.reshape(-1)  # the class of each eigenbasis Choi index i*dout + a
+    mask = flat[:, None] == flat[None, :]
     twirls = []
     for choi in ops:
         # W = conj(U_in) (x) U_out; c_eig = W† C W and the twirl is W (c_eig * mask) W†
@@ -528,7 +538,7 @@ def covariant_twirl(channel: QuantumChannel, h_in: Hamiltonian, h_out: Hamiltoni
     module docstring).
     """
     _check_hamiltonian_dims(channel, h_in, h_out)
-    twirled = _twirled_ops(_channel_ops(channel), h_in, h_out)
+    twirled = _twirled_ops(_channel_ops(channel), _twirl_structure(h_in, h_out))
     return _ops_channel(channel.dim_in, channel.dim_out, twirled)
 
 

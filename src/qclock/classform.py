@@ -10,21 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 
-class _ClassForm:
-    """A stack of twirled Kraus channels in class form.
+class _Classes:
+    """The class structure of a twirl, read-only and shared by every stack twirled with it.
 
-    ``ops`` (B, r, dout, din) holds each row's raw operators in the eigenbases,
-    U_out† K_m U_in, and ``labels`` (dout, din) the frequency class of each
-    entry (a, i).  The class structure is read off the labels once:
-    ``order`` lists the flat entries a*din + i class by class and ``sizes``
-    counts each class's entries; the within-class pairs ((a, i), (b, j)) are
-    given by their flat entries ``left`` and ``right``, their input entry
-    ``src`` = i*din + j and their output entry ``dst`` = a*dout + b, and
-    ``same_row`` indexes the pairs with a = b.
+    ``labels`` (dout, din) holds the frequency class of each entry (a, i) of an
+    operator in the eigenbases ``u_in`` and ``u_out``.  The structure is read
+    off the labels once: ``order`` lists the flat entries a*din + i class by
+    class and ``sizes`` counts each class's entries; the within-class pairs
+    ((a, i), (b, j)) are given by their flat entries ``left`` and ``right``,
+    their input entry ``src`` = i*din + j and their output entry ``dst`` =
+    a*dout + b, and ``same_row`` indexes the pairs with a = b.
     """
 
-    def __init__(self, ops, labels, u_in, u_out):
-        self.ops, self.labels, self.u_in, self.u_out = ops, labels, u_in, u_out
+    def __init__(self, labels, u_in, u_out):
+        self.labels, self.u_in, self.u_out = labels, u_in, u_out
         dout, din = labels.shape
         flat = labels.reshape(-1)
         self.sizes = np.bincount(flat)
@@ -38,15 +37,27 @@ class _ClassForm:
         self.left, self.right = order[k], order[l]
         self.src, self.dst = col[k] * din + col[l], row[k] * dout + row[l]
         self.same_row = np.flatnonzero(row[k] == row[l])
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+
+class _ClassForm:
+    """A stack of twirled Kraus channels in class form.
+
+    ``ops`` (B, r, dout, din) holds each row's raw operators in the eigenbases,
+    U_out† K_m U_in, and ``classes`` their :class:`_Classes`, whose fields the
+    form also holds as its own.
+    """
+
+    def __init__(self, ops, classes: _Classes):
+        self.__dict__.update(vars(classes), ops=ops, classes=classes)
 
     def __len__(self):
         return len(self.ops)
 
     def repeat(self, n: int) -> _ClassForm:
         """Each row n times over, as ``np.repeat(..., n, axis=0)`` of the operator stack."""
-        form = object.__new__(_ClassForm)
-        form.__dict__.update(self.__dict__, ops=np.repeat(self.ops, n, axis=0))
-        return form
+        return _ClassForm(np.repeat(self.ops, n, axis=0), self.classes)
 
     def kraus(self) -> np.ndarray:
         """The twirled operators (B, classes * r, dout, din): each operator masked once per

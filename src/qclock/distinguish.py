@@ -330,6 +330,11 @@ def orthogonal_times(n: int, quantum: float) -> np.ndarray:
     """
     if n < 2:
         raise DomainError(f"need at least two levels, got {n}")
-    if not 0 < quantum < np.inf:  # NaN fails too
-        raise DomainError(f"energy quantum must be finite and positive, got {quantum!r}")
+    # NaN fails too; a quantum below ~3.5e-308, such as 1e-310, overflows the last time to inf,
+    # and one with n * quantum = inf, such as 1e308 at n = 4, puts every time at 0
+    if not 0 < quantum < np.inf or not 0 < 2.0 * np.pi * (n - 1) / (n * float(quantum)) < np.inf:
+        raise DomainError(
+            f"energy quantum must be finite and positive, with a finite, positive last time "
+            f"2 pi (n - 1) / (n quantum), got {quantum!r}"
+        )
     return 2.0 * np.pi * np.arange(n) / (n * quantum)

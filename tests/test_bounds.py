@@ -355,12 +355,16 @@ def test_sweep_row_k_is_the_one_sample_sweep_at_seed_plus_k():
 def test_copy_bound_sweep_row_builds_its_total_hamiltonian_once(monkeypatch):
     from qclock import bounds
 
+    bounds._shape.cache_clear()  # an earlier test may have swept this shape
     built = []
     build = bounds.total_hamiltonian
     monkeypatch.setattr(bounds, "total_hamiltonian", lambda *hs: built.append(1) or build(*hs))
     cfg = dict(COPY_CFG, samples=1, clock="equal_superposition", energy_scales=[0.5, 3.0])
     rows = sweep(cfg, seed=4).rows
     assert len(rows) == len(built) == 2
+    # an identical second sweep reuses the shape the first one built
+    assert sweep(cfg, seed=4).rows == rows
+    assert len(built) == 2
     # each row is copy_bound_check's report on the same twirled channel
     monkeypatch.undo()
     raw = random_channel(3, 4, 2, np.random.default_rng(4))
@@ -371,6 +375,46 @@ def test_copy_bound_sweep_row_builds_its_total_hamiltonian_once(monkeypatch):
         report = copy_bound_check(clock, broadcast, h, h)
         fields = ("f_in", "f1", "f2", "e2", "margin", "covariance_residual")
         assert {k: row[k] for k in fields} == {k: getattr(report, k) for k in fields}
+
+
+def _arrays(value):
+    """Every array reachable from a cached sweep shape."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+def test_sweep_shapes_that_differ_in_one_key_field_share_no_cached_arrays(monkeypatch):
+    from qclock import bounds
+
+    base = dict(COPY_CFG, dim_in=4, samples=2, clock="equal_superposition", energy_scales=[1, 2])
+    mono = {"experiment": "monotonicity", "samples": 2, "dim": 4}
+    # each pair differs in one field of the shape's key; a d = 4 monotonicity sweep runs between
+    pairs = [
+        (base, dict(base, energy_quantum=0.5)),
+        (dict(base, dim_out1=2, dim_out2=3), dict(base, dim_out1=3, dim_out2=2)),
+        (base, dict(base, clock="random")),
+        (base, dict(base, energy_scales=[2, 1])),
+    ]
+    cfgs = [cfg for a, b in pairs for cfg in (a, mono, b)]
+    shapes = []
+    build = bounds._shape
+    monkeypatch.setattr(bounds, "_shape", lambda *key: shapes.append(build(*key)) or shapes[-1])
+    build.cache_clear()
+    interleaved = [sweep(cfg, seed=31).rows for cfg in cfgs]
+    for cfg, rows in zip(cfgs, interleaved):
+        build.cache_clear()
+        assert sweep(cfg, seed=31).rows == rows, cfg
+    arrays = list(_arrays(shapes))
+    assert len(arrays) > len(shapes)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_sweep_monotonicity_summary():

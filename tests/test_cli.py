@@ -252,6 +252,13 @@ def test_orthogonal_times_subcommand_rejects_an_infinite_quantum():
     assert json.loads(out)["code"] == "domain"
 
 
+def test_orthogonal_times_subcommand_rejects_a_quantum_whose_times_overflow():
+    # 2 pi 3 / (4e-310) is not a finite float: no "inf" times and no NaN overlap
+    code, out = run_cli(["orthogonal-times", "--levels", "4", "--quantum", "1e-310"])
+    assert code == 2
+    assert json.loads(out)["code"] == "domain"
+
+
 def test_copy_bound_and_monotonicity_subcommands(tmp_path):
     clock = equal_superposition_clock(4, 1.0)
     h1 = ladder_hamiltonian(2, 1.0)

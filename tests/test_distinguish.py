@@ -349,7 +349,7 @@ def test_orthogonal_times_spacing_shrinks_with_energy():
     assert np.allclose(orthogonal_times(2, 2.0), [0.0, np.pi / 2])
 
 
-@pytest.mark.parametrize("quantum", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("quantum", [0.0, -1.0, np.inf, np.nan, 1e-310, 1e308])
 def test_orthogonal_times_rejects_a_quantum_that_is_not_finite_and_positive(quantum):
     # an infinite quantum would put every time at 0, where the states are not orthogonal
     with pytest.raises(DomainError, match="finite and positive"):
